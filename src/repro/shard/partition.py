@@ -13,14 +13,14 @@ Two strategies, chosen per table by :class:`~repro.core.config.ShardConfig`:
   shard owns the tail. Prunes both equality and range predicates, at
   the cost of the operator choosing boundaries that match the data.
 
-Pruning (:func:`prune_shards`) mirrors the planner's sargability
-analysis (:meth:`repro.sql.planner.Planner._sargable`): only top-level
-WHERE conjuncts of the shape ``shard_key <op> value`` participate, with
-``?`` parameters resolved against the statement's bound values — so a
-prepared statement prunes per execution, not per plan. Anything the
-analysis cannot prove routes to every shard; pruning is a pure
-optimization and never changes results (the differential suite runs
-with it forced off to check exactly that).
+Pruning (:func:`prune_shards`) runs the planner's own sargability
+analysis (:mod:`repro.sql.sargable`) over the top-level WHERE conjuncts
+on the shard key, with ``?`` parameters resolved against the bound
+values — so a prepared statement prunes per execution, not per plan. A
+NULL or unbound value never prunes, and anything the analysis cannot
+prove routes to every shard; pruning is a pure optimization and never
+changes results (the differential suite runs with it forced off to
+check exactly that).
 """
 
 from __future__ import annotations
@@ -28,21 +28,12 @@ from __future__ import annotations
 from hashlib import blake2b
 from typing import Any, Iterable, Optional
 
-from repro.errors import ShardRoutingError
-from repro.sql.ast_nodes import (
-    Between,
-    BinaryOp,
-    ColumnRef,
-    Expr,
-    InList,
-    Literal,
-    Parameter,
-)
+from repro.errors import ExecutionError, ShardRoutingError
+from repro.sql.ast_nodes import Expr
 from repro.sql.expressions import split_conjuncts
+from repro.sql.params import bound, resolve_maybe
+from repro.sql.sargable import conjunct_constraints, tightest
 from repro.storage.record import RecordCodec
-
-_FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
 
 class HashPartitioner:
     """Stable hash placement over the canonical record encoding."""
@@ -113,16 +104,6 @@ def partitioner_for(config, table_name: str):
 # ----------------------------------------------------------------------
 # predicate pruning
 # ----------------------------------------------------------------------
-def _resolve(expr: Expr, params: tuple) -> tuple[bool, Any]:
-    """(known, value) for a literal or bound parameter comparison side."""
-    if isinstance(expr, Literal):
-        return True, expr.value
-    if isinstance(expr, Parameter):
-        if expr.index < len(params):
-            return True, params[expr.index]
-    return False, None
-
-
 def prune_shards(
     where: Optional[Expr],
     shard_key: str,
@@ -132,59 +113,37 @@ def prune_shards(
 ) -> set[int]:
     """Shards that can hold rows satisfying ``where``.
 
-    Every top-level conjunct constraining the shard key intersects the
-    candidate set; conjuncts the analysis cannot use are ignored (they
-    only ever make the true answer a subset of what is returned, which
-    is the safe direction).
+    Every usable constraint on the shard key intersects the candidate
+    set; whatever the analysis cannot use is ignored (it only ever makes
+    the true answer a subset of what is returned, which is the safe
+    direction).
     """
+    keyed = [
+        con
+        for conjunct in split_conjuncts(where)
+        for con in conjunct_constraints(conjunct, binding)
+        if con.column == shard_key
+    ]
     candidates = set(range(partitioner.shard_count))
-
-    def is_key(e: Expr) -> bool:
-        return (
-            isinstance(e, ColumnRef)
-            and e.name == shard_key
-            and (e.qualifier is None or binding is None or e.qualifier == binding)
-        )
-
-    for conjunct in split_conjuncts(where):
-        subset = None
-        if isinstance(conjunct, BinaryOp):
-            op, left, right = conjunct.op, conjunct.left, conjunct.right
-            if is_key(right) and not is_key(left):
-                left, right = right, left
-                op = _FLIP.get(op)
-            if op is not None and is_key(left):
-                known, value = _resolve(right, params)
-                if known and value is not None:
-                    if op == "=":
-                        subset = {partitioner.shard_of(value)}
-                    elif op in (">", ">="):
-                        subset = partitioner.shards_for_range(
-                            value, None, op == ">=", True
-                        )
-                    elif op in ("<", "<="):
-                        subset = partitioner.shards_for_range(
-                            None, value, True, op == "<="
-                        )
-        elif isinstance(conjunct, InList) and not conjunct.negated:
-            if is_key(conjunct.operand):
-                values = []
-                for item in conjunct.items:
-                    known, value = _resolve(item, params)
-                    if not known:
-                        values = None
-                        break
-                    values.append(value)
-                if values is not None:
-                    subset = {
-                        partitioner.shard_of(v) for v in values if v is not None
-                    }
-        elif isinstance(conjunct, Between) and not conjunct.negated:
-            if is_key(conjunct.operand):
-                lo_known, lo = _resolve(conjunct.low, params)
-                hi_known, hi = _resolve(conjunct.high, params)
-                if lo_known and hi_known and lo is not None and hi is not None:
-                    subset = partitioner.shards_for_range(lo, hi, True, True)
-        if subset is not None:
-            candidates &= subset
+    bounds: list[tuple[str, Any]] = []
+    try:
+        with bound(params):
+            for con in keyed:
+                if con.op == "in":
+                    values = {resolve_maybe(v) for v in con.value} - {None}
+                    candidates &= {partitioner.shard_of(v) for v in values}
+                    continue
+                value = resolve_maybe(con.value)
+                if value is None:
+                    continue
+                if con.op == "=":
+                    candidates &= {partitioner.shard_of(value)}
+                else:
+                    bounds.append((con.op, value))
+        if bounds:
+            candidates &= partitioner.shards_for_range(*tightest(bounds))
+    except (ExecutionError, TypeError):
+        # an unbound parameter, or a value that does not compare with
+        # the shard key, proves nothing; execution rejects it typed
+        return set(range(partitioner.shard_count))
     return candidates

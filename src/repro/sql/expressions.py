@@ -14,7 +14,7 @@ import operator
 import re
 from typing import Any, Callable, Optional
 
-from repro.errors import PlanningError
+from repro.errors import ExecutionError, PlanningError
 from repro.sql import params as _params
 from repro.sql.ast_nodes import (
     Aggregate,
@@ -98,9 +98,26 @@ def _null_guard(fn):
     def wrapped(a, b):
         if a is None or b is None:
             return None
-        return fn(a, b)
+        try:
+            return fn(a, b)
+        except TypeError:
+            # e.g. 'x' < 3: the typed error the scans raise for a key
+            # of the wrong type, not a bare TypeError
+            raise ExecutionError(f"cannot compare {a!r} with {b!r}") from None
 
     return wrapped
+
+
+def _between(value, lo, hi, negated: bool):
+    if value is None or lo is None or hi is None:
+        return None
+    try:
+        hit = lo <= value <= hi
+    except TypeError:
+        raise ExecutionError(
+            f"cannot compare {value!r} with BETWEEN {lo!r} AND {hi!r}"
+        ) from None
+    return (not hit) if negated else hit
 
 
 _ARITH = {
@@ -201,15 +218,7 @@ def compile_expr(expr: Expr, schema: RowSchema) -> RowFn:
         high = compile_expr(expr.high, schema)
         negated = expr.negated
 
-        def evaluate_between(row):
-            value = inner(row)
-            lo, hi = low(row), high(row)
-            if value is None or lo is None or hi is None:
-                return None
-            hit = lo <= value <= hi
-            return (not hit) if negated else hit
-
-        return evaluate_between
+        return lambda row: _between(inner(row), low(row), high(row), negated)
     if isinstance(expr, Like):
         inner = compile_expr(expr.operand, schema)
         regex = like_to_regex(expr.pattern)
@@ -331,12 +340,19 @@ def compile_expr_batch(expr: Expr, schema: RowSchema) -> BatchFn:
         negated = expr.negated
 
         def evaluate_between_batch(batch):
-            return [
-                None
-                if value is None or lo is None or hi is None
-                else ((not (lo <= value <= hi)) if negated else lo <= value <= hi)
-                for value, lo, hi in zip(inner(batch), low(batch), high(batch))
-            ]
+            values, lows, highs = inner(batch), low(batch), high(batch)
+            try:
+                return [
+                    None
+                    if value is None or lo is None or hi is None
+                    else ((not (lo <= value <= hi)) if negated else lo <= value <= hi)
+                    for value, lo, hi in zip(values, lows, highs)
+                ]
+            except TypeError:
+                # re-evaluate value by value to name the culprit
+                for value, lo, hi in zip(values, lows, highs):
+                    _between(value, lo, hi, negated)
+                raise
 
         return evaluate_between_batch
     if isinstance(expr, Like):

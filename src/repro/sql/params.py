@@ -10,9 +10,9 @@ statement (:func:`bound`), and everything compiled from a
 per-thread (and per-async-task), so two sessions executing the same
 cached plan concurrently each see their own values.
 
-The planner uses :class:`ParamMarker` as a plan-time stand-in wherever
-a parameter is sargable — e.g. the key of a point lookup — and the scan
-operators resolve the marker at ``batches()`` time, inside the
+Where a parameter is sargable — the key of a point lookup, a bound of
+a range scan — the plan keeps its :class:`Parameter` node as the value,
+and the scan operators resolve it at ``batches()`` time, inside the
 execution's binding scope.
 """
 
@@ -23,20 +23,9 @@ from contextvars import ContextVar
 from typing import Any, Sequence
 
 from repro.errors import ExecutionError
+from repro.sql.ast_nodes import Parameter
 
 _ACTIVE: ContextVar[tuple | None] = ContextVar("sql_params", default=None)
-
-
-class ParamMarker:
-    """Plan-time placeholder for a parameter absorbed into an access path."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
-
-    def __repr__(self) -> str:
-        return f"?{self.index + 1}"
 
 
 def resolve(index: int) -> Any:
@@ -52,8 +41,8 @@ def resolve(index: int) -> Any:
 
 
 def resolve_maybe(value: Any) -> Any:
-    """Pass literals through; resolve :class:`ParamMarker` stand-ins."""
-    if isinstance(value, ParamMarker):
+    """Pass literals through; resolve :class:`Parameter` placeholders."""
+    if isinstance(value, Parameter):
         return resolve(value.index)
     return value
 

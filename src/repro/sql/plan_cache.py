@@ -17,7 +17,7 @@ Safety rules:
   folds uncorrelated subqueries into literals at plan time, so a cached
   template would freeze data-dependent results;
 * parameters never make a plan entry stale — sargable ``?`` bounds are
-  planned as :class:`~repro.sql.params.ParamMarker` placeholders the
+  planned as :class:`~repro.sql.ast_nodes.Parameter` placeholders the
   scans resolve per execution, so one template serves every binding.
 
 The cache itself is a bounded LRU (``StorageConfig.plan_cache_size``

@@ -3,10 +3,12 @@
 Pipeline for SELECT:
 
 1. bind tables, pool the WHERE and JOIN-ON conjuncts;
-2. choose an access path per table — verified point lookup for a
+2. choose an access path per table from the sargable constraints
+   (:mod:`repro.sql.sargable`) — verified point lookup for a
    primary-key equality, verified range scan when a chained column has
-   sargable bounds, verified sequential scan otherwise — with residual
-   conjuncts as filters;
+   bounds (literal or ``?``, merged by the scan at execution time),
+   verified sequential scan otherwise — with residual conjuncts as
+   filters;
 3. build a left-deep join tree in FROM order, picking the join
    algorithm (index-nested-loop through the inner table's primary key,
    hash, merge, or plain nested loops); callers may force one with
@@ -38,7 +40,6 @@ from repro.sql.ast_nodes import (
     Like,
     Literal,
     OrderItem,
-    Parameter,
     ScalarSubquery,
     Select,
     UnaryOp,
@@ -67,28 +68,15 @@ from repro.sql.operators import (
     SortOp,
     TopNOp,
 )
-from repro.sql.params import ParamMarker
+from repro.sql.sargable import Constraint, conjunct_constraints
 
 JOIN_HINTS = ("merge", "nested_loop", "hash", "index_nl")
-
-_FLIP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 @dataclass
 class _Binding:
     name: str  # alias or table name
     info: Any  # TableInfo
-
-
-@dataclass
-class _Constraint:
-    column: str
-    op: str  # = < <= > >=
-    value: Any
-    #: ordinal of the ``?`` placeholder when the comparison value is a
-    #: statement parameter (value is then a ParamMarker resolved by the
-    #: scan at execution time); None for literal constraints
-    param: Optional[int] = None
 
 
 class Planner:
@@ -405,162 +393,59 @@ class Planner:
     ) -> PhysicalOp:
         table = binding.info.store
         schema = binding.info.schema
-        constraints: list[_Constraint] = []
-        residual: list[Expr] = []
+        # sargable conjuncts (with their constraints) by chained column
+        by_column: dict[str, list[tuple[Expr, list[Constraint]]]] = {}
         for conjunct in conjuncts:
-            extracted = self._sargable(conjunct, schema)
-            if extracted:
-                constraints.extend(extracted)
-                # equality/range info is fully captured by the bounds for
-                # single constraints; Between expands to two constraints
-                continue
-            residual.append(conjunct)
-
+            found = conjunct_constraints(conjunct)
+            if found and found[0].op != "in":
+                column = found[0].column
+                if schema.chain_id(column) is not None:
+                    by_column.setdefault(column, []).append((conjunct, found))
+        column = self._choose_column(schema, by_column)
         plan: PhysicalOp
-        chosen = self._choose_constraint_column(schema, constraints)
-        if chosen is None:
+        absorbed: list[Expr] = []
+        if column is None:
             plan = SeqScanOp(table, binding.name)
-            used: set[int] = set()
         else:
-            column, indexes = chosen
-            equality_index = next(
-                (i for i in indexes if constraints[i].op == "="), None
-            )
-            if equality_index is not None:
+            on_column = by_column[column]
+            equality = next(((c, f[0]) for c, f in on_column if f[0].op == "="), None)
+            if equality is not None:
                 # Use one equality for the access path; every OTHER
                 # constraint on this column (further equalities, bounds)
                 # stays a residual filter — absorbing them here would
                 # silently drop contradictions like ``a = 1 AND a = 0``.
-                equality = constraints[equality_index].value
-                used = {equality_index}
+                conjunct, con = equality
+                absorbed = [conjunct]
                 if column == schema.primary_key:
-                    plan = PointLookupOp(table, binding.name, equality)
+                    plan = PointLookupOp(table, binding.name, con.value)
                 else:
-                    plan = RangeScanOp(
-                        table, binding.name, column, equality, equality
-                    )
+                    plan = RangeScanOp(table, binding.name, column, [con])
             else:
-                # bounds combine exactly: the tightest of each side wins.
-                # Parameter bounds have no plan-time value to compare
-                # against, so they are never merged — they stay residual
-                # filters (rebuilt with their ``?`` below), keeping one
-                # cached template correct for every binding.
-                lo, hi = None, None
-                include_lo = include_hi = True
-                used = set()
-                for i in indexes:
-                    con = constraints[i]
-                    if con.param is not None:
-                        continue
-                    if con.op in (">", ">="):
-                        candidate = (con.value, con.op == ">=")
-                        if lo is None or (candidate[0], not candidate[1]) > (
-                            lo,
-                            not include_lo,
-                        ):
-                            lo, include_lo = candidate
-                        used.add(i)
-                    elif con.op in ("<", "<="):
-                        candidate = (con.value, con.op == "<=")
-                        if hi is None or (candidate[0], candidate[1]) < (
-                            hi,
-                            include_hi,
-                        ):
-                            hi, include_hi = candidate
-                        used.add(i)
-                plan = RangeScanOp(
-                    table, binding.name, column, lo, hi, include_lo, include_hi
-                )
-        # constraints on other columns stay as ordinary filters
-        for i, constraint in enumerate(constraints):
-            if i in used:
-                continue
-            value_expr: Expr = (
-                Parameter(constraint.param)
-                if constraint.param is not None
-                else Literal(constraint.value)
-            )
-            residual.append(
-                BinaryOp(
-                    constraint.op,
-                    ColumnRef(constraint.column, binding.name),
-                    value_expr,
-                )
-            )
-        for conjunct in residual:
-            plan = FilterOp(plan, conjunct)
+                # every bound, literal or ``?``, rides the scan, which
+                # merges them per execution (tightest of each side)
+                absorbed = [c for c, _ in on_column]
+                bounds = [con for _, found in on_column for con in found]
+                plan = RangeScanOp(table, binding.name, column, bounds)
+        # everything else, including constraints on other columns,
+        # stays an ordinary filter
+        for conjunct in conjuncts:
+            if not any(conjunct is a for a in absorbed):
+                plan = FilterOp(plan, conjunct)
         return plan
 
     @staticmethod
-    def _sargable(expr: Expr, schema) -> list[_Constraint]:
-        """Extract index-usable constraints from one conjunct, if any.
-
-        Comparison values may be literals or ``?`` parameters: a
-        parameter constraint carries a :class:`ParamMarker` that the
-        scan operator resolves against the bound values at execution
-        time, so one cached plan template serves every binding.
-        """
-
-        def as_col_val(e: Expr):
-            """(op, column, value, param_index) for col-vs-value, else None."""
-            if isinstance(e, BinaryOp) and isinstance(e.left, ColumnRef):
-                if isinstance(e.right, Literal):
-                    return e.op, e.left, e.right.value, None
-                if isinstance(e.right, Parameter):
-                    index = e.right.index
-                    return e.op, e.left, ParamMarker(index), index
-            if isinstance(e, BinaryOp) and isinstance(e.right, ColumnRef):
-                if isinstance(e.left, Literal):
-                    return _FLIP.get(e.op), e.right, e.left.value, None
-                if isinstance(e.left, Parameter):
-                    index = e.left.index
-                    return _FLIP.get(e.op), e.right, ParamMarker(index), index
-            return None
-
-        if isinstance(expr, Between) and not expr.negated:
-            if (
-                isinstance(expr.operand, ColumnRef)
-                and isinstance(expr.low, Literal)
-                and isinstance(expr.high, Literal)
-                and schema.chain_id(expr.operand.name) is not None
-            ):
-                return [
-                    _Constraint(expr.operand.name, ">=", expr.low.value),
-                    _Constraint(expr.operand.name, "<=", expr.high.value),
-                ]
-            return []
-        simple = as_col_val(expr)
-        if simple is None:
-            return []
-        op, col, value, param = simple
-        if op not in ("=", "<", "<=", ">", ">="):
-            return []
-        if param is None and value is None:
-            return []  # literal NULL comparisons never match
-        if schema.chain_id(col.name) is not None:
-            return [_Constraint(col.name, op, value, param)]
-        return []
-
-    @staticmethod
-    def _choose_constraint_column(schema, constraints: list[_Constraint]):
+    def _choose_column(schema, by_column: dict) -> Optional[str]:
         """Pick the most selective constrained chained column."""
-        by_column: dict[str, list[int]] = {}
-        for i, con in enumerate(constraints):
-            by_column.setdefault(con.column, []).append(i)
-        best = None
-        best_score = -1
-        for column, indexes in by_column.items():
-            ops = {constraints[i].op for i in indexes}
+
+        def score(column: str) -> int:
+            ops = {con.op for _, found in by_column[column] for con in found}
             if "=" in ops:
-                score = 4 if column == schema.primary_key else 3
-            elif (ops & {">", ">="}) and (ops & {"<", "<="}):
-                score = 2
-            else:
-                score = 1
-            if score > best_score:
-                best_score = score
-                best = (column, indexes)
-        return best
+                return 4 if column == schema.primary_key else 3
+            if ops & {">", ">="} and ops & {"<", "<="}:
+                return 2
+            return 1
+
+        return max(by_column, key=score, default=None)
 
     # ------------------------------------------------------------------
     # joins

@@ -447,7 +447,10 @@ class VerifiableTable:
         # once the index claims the bound is passed); termination and
         # omission detection still rest exclusively on the trusted
         # nKey chain below, so a lying index cannot truncate a scan.
-        item_iter = iter(index.items(lo=seed[0]))
+        # Asking the index for nothing past the bound (but always for the
+        # seed) keeps the hint's cost proportional to the result.
+        hint_hi = None if hi_bound is TOP else max(seed[0], hi_bound)
+        item_iter = iter(index.items(lo=seed[0], hi=hint_hi))
         first = True
         drained = False
         while not finished and not drained:

@@ -165,3 +165,14 @@ def test_range_prunes_closed_interval_from_conjuncts():
     p = RangePartitioner(4, (10, 20, 30))
     where = where_of("SELECT * FROM t WHERE k >= 12 AND k < 18")
     assert prune_shards(where, "k", p) == {1}
+
+
+def test_incomparable_value_never_prunes():
+    # 'x' does not order against integer boundaries: no pruning, and no
+    # bare TypeError (the shards' scans raise the typed error)
+    p = RangePartitioner(4, (10, 20, 30))
+    for sql in (
+        "SELECT * FROM t WHERE k = ?",
+        "SELECT * FROM t WHERE k BETWEEN 12 AND ?",
+    ):
+        assert prune_shards(where_of(sql), "k", p, params=("x",)) == ALL4

@@ -198,6 +198,54 @@ def test_pruning_off_is_invisible(shard_count):
     _sweep(seed=17 + shard_count, shard_count=shard_count, prune=False)
 
 
+def test_param_range_under_range_partitioner():
+    """A ``?`` range on a range-partitioned shard key: one prepared shape,
+    pruned per binding with pruning on, never pruned with it off, and
+    the same answer as the single enclave and SQLite either way."""
+    bindings = (
+        ((2, 5), {0}),
+        ((12, 25), {1, 2}),
+        ((5.5, 31), {0, 1, 2, 3}),
+        ((28, 3), set()),  # reversed bounds: nothing to scan
+        ((None, 10), {0, 1}),  # a NULL bound prunes nothing itself
+    )
+    sql = "SELECT id, a, b FROM t WHERE id BETWEEN ? AND ? ORDER BY id"
+    rng = random.Random(5)
+    rows = [(i, rng.randrange(0, 8), rng.randrange(-5, 6)) for i in range(40)]
+    single = VeriDB(VeriDBConfig(key_seed=31))
+    single.sql(_DDL.format(chain=", CHAIN (a)"))
+    single.load_rows("t", rows)
+    connection = sqlite3.connect(":memory:")
+    connection.execute(_DDL.format(chain=""))
+    connection.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+    for prune in (True, False):
+        with ShardedDatabase(
+            ShardConfig(
+                shard_count=4,
+                prune=prune,
+                shard_ranges={"t": (10, 20, 30)},
+                base=VeriDBConfig(key_seed=31),
+            ),
+            registry=MetricsRegistry(),
+        ) as fleet:
+            fleet.sql(_DDL.format(chain=", CHAIN (a)"))
+            fleet.load_rows("t", rows)
+            statement = fleet.prepare(sql)
+            for params, shards in bindings:
+                pruned = fleet.obs.counter("shard.partitions_pruned")
+                before = pruned.value
+                got = statement.execute(params).rows
+                expected = single.sql(sql, params=params).rows
+                assert list(got) == list(expected), params
+                assert list(expected) == [
+                    tuple(r) for r in connection.execute(sql, params)
+                ], params
+                assert pruned.value - before == (
+                    4 - len(shards) if prune else 0
+                ), params
+            fleet.verify_now()
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
 @pytest.mark.parametrize("prune", [True, False])

@@ -27,6 +27,7 @@ from repro.sql.operators import (
     SeqScanOp,
     SortOp,
 )
+from repro.sql.sargable import Constraint
 from repro.storage.engine import StorageEngine
 from repro.storage.table_store import VerifiableTable
 
@@ -72,9 +73,10 @@ def test_seq_scan():
 
 def test_range_scan_bounds():
     table = make_table()
-    op = RangeScanOp(table, "t", "v", lo=30, hi=50)
+    at_most_50 = Constraint("v", "<=", 50)
+    op = RangeScanOp(table, "t", "v", [Constraint("v", ">=", 30), at_most_50])
     assert [r[0] for r in op.timed_rows()] == [3, 4, 5]
-    op = RangeScanOp(table, "t", "v", lo=30, hi=50, include_lo=False)
+    op = RangeScanOp(table, "t", "v", [Constraint("v", ">", 30), at_most_50])
     assert [r[0] for r in op.timed_rows()] == [4, 5]
 
 

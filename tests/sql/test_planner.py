@@ -74,7 +74,7 @@ def test_chained_range_uses_range_scan(planner):
     root = plan(planner, "SELECT * FROM orders WHERE o_cust BETWEEN 1 AND 9")
     (scan,) = ops_of(root, RangeScanOp)
     assert scan.column == "o_cust"
-    assert (scan.lo, scan.hi) == (1, 9)
+    assert scan.interval() == (1, 9, True, True)
 
 
 def test_combined_bounds_tightest_wins(planner):
@@ -84,14 +84,15 @@ def test_combined_bounds_tightest_wins(planner):
         "AND o_id < 15",
     )
     (scan,) = ops_of(root, RangeScanOp)
-    assert scan.lo == 4 and not scan.include_lo
-    assert scan.hi == 15 and not scan.include_hi
+    # every bound rides the scan; the tightest of each side wins
+    assert len(scan.bounds) == 4
+    assert scan.interval() == (4, 15, False, False)
 
 
 def test_reversed_literal_comparison_is_sargable(planner):
     root = plan(planner, "SELECT * FROM orders WHERE 5 <= o_id")
     (scan,) = ops_of(root, RangeScanOp)
-    assert scan.lo == 5 and scan.include_lo
+    assert scan.interval() == (5, None, True, True)
 
 
 def test_unchained_predicate_residual_filter(planner):
@@ -112,7 +113,7 @@ def test_pk_equality_beats_secondary_equality(planner):
 def test_secondary_equality_is_point_range(planner):
     root = plan(planner, "SELECT * FROM orders WHERE o_cust = 7")
     (scan,) = ops_of(root, RangeScanOp)
-    assert scan.lo == scan.hi == 7
+    assert scan.interval() == (7, 7, True, True)
 
 
 def test_join_default_index_nl_on_pk(planner):

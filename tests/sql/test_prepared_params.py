@@ -1,10 +1,11 @@
 """``?`` placeholders end to end: parser, binding, auth, service.
 
 Parameters flow from the lexer (ordinal ``?`` markers) through the
-planner (sargable equality params are absorbed into point lookups and
-range scans; range-bound params stay residual) to execution-time
-binding, and across the trust boundary: the client MACs the bound
-values together with the SQL text, so a host can substitute neither.
+planner (sargable params — equalities and range bounds alike — are
+absorbed into point lookups and chain range scans, which resolve them
+per execution) to execution-time binding, and across the trust
+boundary: the client MACs the bound values together with the SQL text,
+so a host can substitute neither.
 """
 
 import pytest
@@ -18,9 +19,15 @@ from repro.errors import AuthenticationError, ExecutionError
 from repro.obs import MetricsRegistry
 from repro.sql.ast_nodes import Parameter
 from repro.sql.executor import QueryEngine
-from repro.sql.operators import PointLookupOp, RangeScanOp, SeqScanOp
+from repro.sql.operators import (
+    FilterOp,
+    PointLookupOp,
+    RangeScanOp,
+    SeqScanOp,
+)
 from repro.sql.parser import parse_statement_with_params
 from repro.sql.planner import Planner
+from repro.storage.config import StorageConfig
 from repro.storage.engine import StorageEngine
 from repro.storage.record import RecordCodec
 
@@ -75,23 +82,86 @@ def test_pk_equality_param_plans_point_lookup():
     assert not any(isinstance(op, SeqScanOp) for op in ops)
 
 
-def test_range_bound_param_stays_residual():
-    # a `>` bound can't be merged at plan time (no value to compare);
-    # it must remain a residual predicate, never a scan bound
+def test_range_bound_params_become_scan_bounds():
+    # `?` bounds ride the chain range scan as markers it resolves per
+    # execution: no sequential scan, no residual copy of the bound
     engine = make_engine()
-    stmt, _ = parse_statement_with_params("SELECT * FROM t WHERE id > ?")
-    plan = Planner(engine.catalog).plan_select(stmt, None)
-    scans = [
-        op for op in plan.walk() if isinstance(op, (SeqScanOp, RangeScanOp))
-    ]
-    for scan in scans:
-        assert getattr(scan, "lo", None) is None
-        assert getattr(scan, "hi", None) is None
-    # the parameter comparison survives as a filter predicate
-    assert "?0" in plan.explain() or "?1" in plan.explain()
+    for sql in (
+        "SELECT * FROM t WHERE id > ?",
+        "SELECT * FROM t WHERE id BETWEEN ? AND ?",
+    ):
+        stmt, count = parse_statement_with_params(sql)
+        plan = Planner(engine.catalog).plan_select(stmt, None)
+        ops = list(plan.walk())
+        assert not any(isinstance(op, (SeqScanOp, FilterOp)) for op in ops)
+        (scan,) = [op for op in ops if isinstance(op, RangeScanOp)]
+        assert [con.value.index for con in scan.bounds] == list(range(count))
+        assert all(isinstance(con.value, Parameter) for con in scan.bounds)
+        assert "?1" in plan.explain()
     # and it evaluates correctly once bound
     rows = engine.execute("SELECT id FROM t WHERE id > ?", params=(16,)).rows
     assert [r[0] for r in rows] == [17, 18, 19]
+    rows = engine.execute(
+        "SELECT id FROM t WHERE id BETWEEN ? AND ?", params=(3, 6)
+    ).rows
+    assert [r[0] for r in rows] == [3, 4, 5, 6]
+
+
+def test_param_range_reads_as_much_as_literal_range():
+    """A `?`-bound range walks only its chain segment (Section 5.2)."""
+    storage = StorageEngine(StorageConfig(cache_bytes=0))
+    engine = QueryEngine(Catalog(), storage)
+    engine.execute("CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER)")
+    table = engine.catalog.lookup("kv").store
+    for i in range(2000):
+        table.insert((i, i * 3))
+
+    def reads(sql, params=None):
+        before = storage.vmem.stats.verified_reads
+        rows = engine.execute(sql, params=params).rows
+        assert [r[0] for r in rows] == list(range(1000, 1020))
+        return storage.vmem.stats.verified_reads - before
+
+    literal = reads("SELECT id, v FROM kv WHERE id BETWEEN 1000 AND 1019")
+    param_sql = "SELECT id, v FROM kv WHERE id BETWEEN ? AND ?"
+    assert literal == 20
+    assert reads(param_sql, (1000, 1019)) == literal
+    assert reads(param_sql, (1000, 1019)) == literal  # plan-cache hit
+
+
+def test_incomparable_key_param_is_a_typed_error():
+    engine = make_engine()
+    engine.execute("CREATE TABLE c (id INTEGER PRIMARY KEY, v INTEGER, CHAIN (v))")
+    for i in range(5):
+        engine.execute(f"INSERT INTO c VALUES ({i}, {i * 10})")
+    vmem = engine.storage.vmem
+    for sql, params, ordinal, column in (
+        ("SELECT v FROM t WHERE id = ?", ("x",), "?1", "id"),
+        ("SELECT v FROM t WHERE id BETWEEN ? AND ?", (3, "x"), "?2", "id"),
+        ("SELECT id FROM c WHERE v > ? AND v < ?", (b"x", 30), "?1", "v"),
+    ):
+        before = vmem.stats.verified_reads
+        with pytest.raises(ExecutionError) as caught:
+            engine.execute(sql, params=params)
+        assert f"parameter {ordinal}" in str(caught.value)
+        assert f"column {column}" in str(caught.value)
+        # rejected before the index probe and any verified read
+        assert vmem.stats.verified_reads == before
+    # the residual-filter path raises the same class
+    with pytest.raises(ExecutionError):
+        engine.execute("SELECT id FROM t WHERE w > ?", params=(3,))
+    with pytest.raises(ExecutionError):
+        engine.execute("SELECT id FROM t WHERE w BETWEEN ? AND ?", params=(3, 4))
+    # numeric cross-type keys keep their answers
+    assert engine.execute(
+        "SELECT id FROM t WHERE id BETWEEN ? AND ?", params=(2.5, 4.0)
+    ).rows == [(3,), (4,)]
+    assert engine.execute(
+        "SELECT id FROM c WHERE v > ?", params=(15.5,)
+    ).rows == [(2,), (3,), (4,)]
+    assert engine.execute(
+        "SELECT id FROM t WHERE id = ?", params=(True,)
+    ).rows == [(1,)]
 
 
 # ----------------------------------------------------------------------

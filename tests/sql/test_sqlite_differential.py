@@ -15,7 +15,7 @@ import random
 import sqlite3
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.catalog import Catalog
@@ -70,8 +70,8 @@ _predicate = st.recursive(
 )
 
 
-def _run_both(rows, sql, params=None):
-    storage = StorageEngine()
+def _run_both(rows, sql, params=None, storage_config=None):
+    storage = StorageEngine(storage_config)
     engine = QueryEngine(Catalog(), storage)
     engine.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER NOT NULL, "
@@ -177,25 +177,70 @@ def test_scalar_subquery_matches_sqlite(rows):
     _approx_equal(ours, theirs)
 
 
-@settings(max_examples=40, deadline=None)
+#: two-placeholder WHERE shapes; ``{col}`` is the primary-key chain
+#: (id), the secondary chain (a) or an unchained column (b)
+_PARAM_SHAPES = (
+    "({col} {op} ?) OR (b = ?)",
+    "{col} BETWEEN ? AND ?",
+    "{col} > ? AND {col} <= ?",
+    "{col} {op} ? AND {col} >= ?",
+    # a literal and a `?` bound on the same side
+    "{col} > 12 AND {col} >= ? AND {col} < ?",
+    "{col} > ? AND {col} < ? AND {col} <= 30",
+)
+
+#: a NULL binding, an integer, or a float (half-integers land between
+#: INTEGER keys and on them)
+_param_value = st.one_of(
+    st.none(),
+    st.integers(-5, 50),
+    st.integers(-10, 100).map(lambda twice: twice / 2),
+)
+
+
+#: a fixed table for the pinned range examples: a spans 0..49, id 0..24
+_RANGE_ROWS = [(7 * i % 50, i % 11 - 5, None) for i in range(25)]
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     rows=_rows,
+    shape=st.sampled_from(_PARAM_SHAPES),
     col=st.sampled_from(["a", "b", "id"]),
     op=st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
-    value=st.one_of(st.none(), st.integers(-5, 50)),
-    other=st.integers(-5, 5),
+    values=st.tuples(_param_value, _param_value),
 )
-def test_parameterized_select_matches_sqlite(rows, col, op, value, other):
+# pinned range shapes: the tighter bound on a side is the literal, the
+# ``?``, or the second ``?``; reversed, NULL and float bounds
+@example(_RANGE_ROWS, _PARAM_SHAPES[4], "a", "=", (3, 40))
+@example(_RANGE_ROWS, _PARAM_SHAPES[4], "id", "=", (20, 23))
+@example(_RANGE_ROWS, _PARAM_SHAPES[5], "a", "=", (2.5, 40))
+@example(_RANGE_ROWS, _PARAM_SHAPES[3], "a", ">", (7.5, 20))
+@example(_RANGE_ROWS, _PARAM_SHAPES[3], "id", ">=", (15, 7.5))
+@example(_RANGE_ROWS, _PARAM_SHAPES[1], "a", "=", (30, 10))
+@example(_RANGE_ROWS, _PARAM_SHAPES[2], "id", "=", (None, 10))
+@example(_RANGE_ROWS, _PARAM_SHAPES[2], "a", "=", (4.5, 20.5))
+def test_parameterized_select_matches_sqlite(rows, shape, col, op, values):
     """Bound ``?`` parameters behave exactly like inlined literals.
 
-    Both engines take the same placeholder syntax; the same shape is
-    executed twice per example (second run is a plan-cache hit with the
-    same binding), and NULL bindings exercise the scans'
-    parameter-resolution short-circuit.
+    Both engines take the same placeholder syntax. Range shapes put the
+    bounds on a chain scan that resolves them per execution, so they
+    cover reversed bounds (drawn values fall either way round), NULL
+    bindings (the scans' short-circuit) and float bounds on INTEGER
+    chains — at every batch size with the record cache on and off.
+    ``_run_both`` executes each shape twice: the second run is a
+    plan-cache hit with the same binding.
     """
-    sql = f"SELECT id, a, b FROM t WHERE ({col} {op} ?) OR (b = ?)"
-    ours, theirs = _run_both(rows, sql, params=(value, other))
-    _approx_equal(ours, theirs)
+    from repro.storage.config import StorageConfig
+
+    sql = f"SELECT id, a, b FROM t WHERE {shape.format(col=col, op=op)}"
+    for batch_size in (1, 7, 256):
+        for cache_bytes in (0, 1 << 20):
+            config = StorageConfig(
+                batch_size=batch_size, cache_bytes=cache_bytes
+            )
+            ours, theirs = _run_both(rows, sql, values, config)
+            _approx_equal(ours, theirs)
 
 
 # ----------------------------------------------------------------------

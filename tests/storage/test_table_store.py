@@ -140,6 +140,27 @@ def test_range_scan_empty_result_is_proven(table):
     assert proof.records_read >= 1  # boundary evidence was still read
 
 
+def test_range_scan_asks_the_index_for_its_range_only(table):
+    # the untrusted index is a prefetch hint: a range scan must not
+    # snapshot the index tail past its bound, or its cost would grow
+    # with the table instead of the result (reversed bounds included)
+    for pk in range(200):
+        table.insert((pk, pk, "r"))
+    index = table.indexes[0]
+    served = []
+    real_items = index.items
+
+    def recording_items(*args, **kwargs):
+        served.append(real_items(*args, **kwargs))
+        return served[-1]
+
+    index.items = recording_items
+    for lo, hi, expected in ((10, 14, [10, 11, 12, 13, 14]), (30, 20, [])):
+        served.clear()
+        assert [r[0] for r in table.scan(lo=lo, hi=hi)] == expected
+        assert sum(map(len, served)) <= len(expected) + 2
+
+
 def test_secondary_chain_scan(table):
     table.insert((1, 100, "a"))
     table.insert((2, 100, "b"))  # duplicate secondary value
