@@ -1,4 +1,4 @@
-"""Batch-size ablation — how wide should a RowBatch be?
+"""Batch-size ablation — how wide should a ColumnBatch be?
 
 Vectorized execution amortizes one trust-boundary crossing (the
 simulated ECall), one partition-lock acquisition run and one Stopwatch

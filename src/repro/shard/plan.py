@@ -32,7 +32,7 @@ from time import perf_counter
 from typing import Any, Iterator, Optional
 
 from repro.sql.ast_nodes import Statement
-from repro.sql.batch import RowBatch, batched
+from repro.sql.batch import ColumnBatch, batched
 from repro.sql.expressions import RowSchema
 from repro.sql.operators.base import PhysicalOp
 
@@ -71,7 +71,7 @@ class ShardFragmentOp(PhysicalOp):
         self.wire_seconds = wire_seconds
         self.remote_segment = segment
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         # never drained locally; the gather node consumes worker replies
         return iter(())
 
@@ -108,7 +108,7 @@ class ShardGatherOp(PhysicalOp):
         self.merge_seconds = 0.0
 
     # ------------------------------------------------------------------
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         scatter_start = perf_counter()
         replies = self._scatter(
             [(f.shard_id, f.stmt) for f in self.fragments], self.params

@@ -3,21 +3,24 @@
 The engine executes batch-at-a-time: every :class:`PhysicalOp` produces
 :class:`ColumnBatch` objects instead of single tuples, amortizing
 per-pull overhead (generator frames, timing laps, verified-memory
-crossings) over ``StorageConfig.batch_size`` rows.
+crossings) over ``StorageConfig.batch_size`` rows. It is the engine's
+one batch type, and the one input of the expression compiler
+(:func:`repro.sql.expressions.compile_expr`).
 
 A batch is *dual-backed*. It is authoritative in whichever
 representation it was built from and derives the other lazily, caching
 the result:
 
-* **row-backed** — built by :func:`ColumnBatch.from_rows` (scans and
-  other row producers at the storage boundary). Columns are derived
+* **row-backed** — built by :func:`ColumnBatch.from_rows` or
+  :func:`batched` (scans at the storage boundary, and the row producers
+  above them: joins, sorts, aggregation output). Columns are derived
   per-column on first access, so a predicate touching two of ten
   columns never pays for the other eight.
 * **column-backed** — built directly from per-column lists (projection
   and the fused scan→filter→project pipeline). Row tuples are
   materialized exactly once, at a row-major boundary: spill
-  (:meth:`to_rows`), executor result assembly, or a row-wise operator
-  such as a join build side.
+  (:meth:`to_rows`), executor result assembly, or a row consumer such
+  as a join build side, a sort run or a DML write.
 
 Each column also exposes a validity bitmap (:meth:`validity`): an int
 whose bit *j* is set iff row *j* of that column is non-NULL, which is
@@ -39,7 +42,7 @@ from typing import Iterable, Iterator
 
 from repro.storage.config import DEFAULT_BATCH_SIZE
 
-__all__ = ["DEFAULT_BATCH_SIZE", "ColumnBatch", "RowBatch", "batched"]
+__all__ = ["DEFAULT_BATCH_SIZE", "ColumnBatch", "batched"]
 
 #: pack NULL-free all-int / all-float derived columns into ``array``
 #: typecode ``q``/``d`` storage (8 bytes per cell instead of a pointer
@@ -206,11 +209,6 @@ class ColumnBatch:
     def __repr__(self) -> str:
         backing = "rows" if self._rows is not None else "columns"
         return f"ColumnBatch({self.length} rows, {self._width} cols, {backing})"
-
-
-def RowBatch(rows: list[tuple], ordering: tuple = ()) -> ColumnBatch:
-    """Row-major compatibility constructor (the pre-columnar API)."""
-    return ColumnBatch.from_rows(rows, ordering)
 
 
 def batched(

@@ -32,6 +32,7 @@ from repro.sql.ast_nodes import (
     Statement,
     Update,
 )
+from repro.sql.batch import ColumnBatch
 from repro.sql.expressions import RowSchema, compile_expr
 from repro.sql.operators import FusedScanFilterProjectOp
 from repro.sql.operators.base import PhysicalOp
@@ -396,9 +397,10 @@ class QueryEngine:
         if stmt.select is not None:
             source_rows = self._run_select(stmt.select, None).rows
         else:
-            empty = RowSchema([])
+            # constants evaluate over a one-row, zero-column batch
+            empty, one_row = RowSchema([]), ColumnBatch([], 1)
             source_rows = [
-                tuple(compile_expr(e, empty)(()) for e in value_exprs)
+                tuple(compile_expr(e, empty)(one_row)[0] for e in value_exprs)
                 for value_exprs in stmt.rows
             ]
         pk_index = schema.primary_key_index
@@ -430,27 +432,27 @@ class QueryEngine:
         schema = info.schema
         if plan is None:
             plan = self.planner.plan_table_filter(stmt.table, stmt.where)
-        matching = list(plan.timed_rows())
-        assign_fns = [
-            (column, compile_expr(expr, plan.output))
-            for column, expr in stmt.assignments
-        ]
+        # drain the whole plan before the first write: a chain scan must
+        # never revisit rows this statement has just rewritten
+        matching = list(plan.timed_batches())
+        columns = [column for column, _ in stmt.assignments]
+        assign_fns = [compile_expr(expr, plan.output) for _, expr in stmt.assignments]
         pk_index = schema.primary_key_index
         count = 0
-        for row in matching:
-            updates = {column: fn(row) for column, fn in assign_fns}
-            if info.store.update(row[pk_index], updates):
-                if undo is not None:
-                    new_pk = updates.get(
-                        schema.primary_key, row[pk_index]
-                    )
+        for batch in matching:
+            assigned = zip(*[fn(batch) for fn in assign_fns])
+            for row, values in zip(batch.rows, assigned):
+                updates = dict(zip(columns, values))
+                if info.store.update(row[pk_index], updates):
+                    if undo is not None:
+                        new_pk = updates.get(schema.primary_key, row[pk_index])
 
-                    def restore(store=info.store, new_pk=new_pk, old=row):
-                        store.delete(new_pk)
-                        store.insert(old)
+                        def restore(store=info.store, new_pk=new_pk, old=row):
+                            store.delete(new_pk)
+                            store.insert(old)
 
-                    undo.append(restore)
-                count += 1
+                        undo.append(restore)
+                    count += 1
         return ExecutionResult(rowcount=count)
 
     def _run_delete(

@@ -1,10 +1,12 @@
 """Expression compilation and evaluation.
 
-Expressions are compiled once per plan into Python closures over row
-tuples, with columns resolved to positions against a :class:`RowSchema`.
-NULL follows (lightweight) three-valued logic: comparisons and
-arithmetic involving NULL yield NULL, ``AND``/``OR``/``NOT`` combine
-unknowns the SQL way, and filters treat a NULL predicate result as
+Expressions are compiled once per plan into Python closures over
+:class:`~repro.sql.batch.ColumnBatch` objects, with columns resolved to
+positions against a :class:`RowSchema`; each closure returns one value
+per row of the batch. NULL follows (lightweight) three-valued logic:
+comparisons and arithmetic involving NULL yield NULL, ``AND``/``OR``/
+``NOT`` combine unknowns the SQL way, ``IN`` misses against a list
+holding NULL are NULL, and filters treat a NULL predicate result as
 not-satisfied.
 """
 
@@ -33,9 +35,6 @@ from repro.sql.ast_nodes import (
     ScalarSubquery,
     UnaryOp,
 )
-
-RowFn = Callable[[tuple], Any]
-
 
 class RowSchema:
     """The (qualifier, name) bindings of a row pipeline's positions."""
@@ -160,132 +159,23 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
 
 
 # ----------------------------------------------------------------------
-# compilation
-# ----------------------------------------------------------------------
-def compile_expr(expr: Expr, schema: RowSchema) -> RowFn:
-    """Compile an expression to a row → value closure."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, Parameter):
-        index = expr.index
-        return lambda row: _params.resolve(index)
-    if isinstance(expr, ColumnRef):
-        position = schema.resolve(expr)
-        return lambda row: row[position]
-    if isinstance(expr, BinaryOp):
-        if expr.op == "AND":
-            lf, rf = compile_expr(expr.left, schema), compile_expr(expr.right, schema)
-            return lambda row: _and3(lf(row), rf(row))
-        if expr.op == "OR":
-            lf, rf = compile_expr(expr.left, schema), compile_expr(expr.right, schema)
-            return lambda row: _or3(lf(row), rf(row))
-        lf, rf = compile_expr(expr.left, schema), compile_expr(expr.right, schema)
-        if expr.op == "/":
-            return lambda row: _divide(lf(row), rf(row))
-        fn = _ARITH.get(expr.op) or _COMPARE.get(expr.op)
-        if fn is None:
-            raise PlanningError(f"unsupported operator {expr.op!r}")
-        return lambda row: fn(lf(row), rf(row))
-    if isinstance(expr, UnaryOp):
-        inner = compile_expr(expr.operand, schema)
-        if expr.op == "NOT":
-            return lambda row: _not3(inner(row))
-        if expr.op == "NEG":
-            return lambda row: None if inner(row) is None else -inner(row)
-        raise PlanningError(f"unsupported unary operator {expr.op!r}")
-    if isinstance(expr, IsNull):
-        inner = compile_expr(expr.operand, schema)
-        if expr.negated:
-            return lambda row: inner(row) is not None
-        return lambda row: inner(row) is None
-    if isinstance(expr, InList):
-        inner = compile_expr(expr.operand, schema)
-        item_fns = [compile_expr(item, schema) for item in expr.items]
-        negated = expr.negated
-
-        def evaluate_in(row):
-            value = inner(row)
-            if value is None:
-                return None
-            hit = any(value == fn(row) for fn in item_fns)
-            return (not hit) if negated else hit
-
-        return evaluate_in
-    if isinstance(expr, Between):
-        inner = compile_expr(expr.operand, schema)
-        low = compile_expr(expr.low, schema)
-        high = compile_expr(expr.high, schema)
-        negated = expr.negated
-
-        return lambda row: _between(inner(row), low(row), high(row), negated)
-    if isinstance(expr, Like):
-        inner = compile_expr(expr.operand, schema)
-        regex = like_to_regex(expr.pattern)
-        negated = expr.negated
-
-        def evaluate_like(row):
-            value = inner(row)
-            if value is None:
-                return None
-            hit = regex.match(value) is not None
-            return (not hit) if negated else hit
-
-        return evaluate_like
-    if isinstance(expr, InSet):
-        inner = compile_expr(expr.operand, schema)
-        values = expr.values
-        had_null = expr.had_null
-        negated = expr.negated
-
-        def evaluate_in_set(row):
-            value = inner(row)
-            if value is None:
-                return None
-            hit = value in values
-            if not hit and had_null:
-                # a miss against a set containing NULL is unknown (SQL IN)
-                return None
-            return (not hit) if negated else hit
-
-        return evaluate_in_set
-    if isinstance(expr, (ScalarSubquery, InSubquery, ExistsSubquery)):
-        raise PlanningError(
-            "subqueries must be resolved by the planner before compilation "
-            "(standalone expression compilation does not execute SQL)"
-        )
-    if isinstance(expr, Aggregate):
-        raise PlanningError(
-            f"aggregate {expr!r} is only valid in SELECT or HAVING of a "
-            f"grouped query"
-        )
-    raise PlanningError(f"cannot compile expression {expr!r}")
-
-
-def compile_predicate(expr: Expr, schema: RowSchema) -> Callable[[tuple], bool]:
-    """Compile a boolean expression; NULL results count as not-satisfied."""
-    fn = compile_expr(expr, schema)
-    return lambda row: fn(row) is True
-
-
-# ----------------------------------------------------------------------
-# vectorized compilation (columnar batch execution)
+# compilation (column-at-a-time)
 # ----------------------------------------------------------------------
 #: a batch evaluator: ColumnBatch → list of one value per row
 BatchFn = Callable[[Any], list]
 
 
-def compile_expr_batch(expr: Expr, schema: RowSchema) -> BatchFn:
+def compile_expr(expr: Expr, schema: RowSchema) -> BatchFn:
     """Compile an expression to a batch → values closure.
 
     Evaluators are *column-at-a-time*: a column reference returns the
     batch's column list without copying (derived lazily for row-backed
     batches, so only referenced columns are ever materialized), and
     every combinator maps the scalar three-valued helpers over whole
-    column lists — NULL semantics are bit-identical to
-    :func:`compile_expr`, the win is one closure dispatch per batch per
-    node instead of one per row per node. Anything without a vectorized
-    form falls back to mapping the scalar closure over the batch's rows.
+    column lists — one closure dispatch per batch per node instead of
+    one per row per node. This is the engine's only expression
+    compiler: consumers that need a single value evaluate over a
+    one-row batch (``ColumnBatch([], 1)`` for constants).
     """
     if isinstance(expr, Literal):
         value = expr.value
@@ -297,8 +187,8 @@ def compile_expr_batch(expr: Expr, schema: RowSchema) -> BatchFn:
         position = schema.resolve(expr)
         return lambda batch: batch.column(position)
     if isinstance(expr, BinaryOp):
-        lf = compile_expr_batch(expr.left, schema)
-        rf = compile_expr_batch(expr.right, schema)
+        lf = compile_expr(expr.left, schema)
+        rf = compile_expr(expr.right, schema)
         if expr.op == "AND":
             return lambda batch: [
                 _and3(a, b) for a, b in zip(lf(batch), rf(batch))
@@ -316,7 +206,7 @@ def compile_expr_batch(expr: Expr, schema: RowSchema) -> BatchFn:
             raise PlanningError(f"unsupported operator {expr.op!r}")
         return lambda batch: [fn(a, b) for a, b in zip(lf(batch), rf(batch))]
     if isinstance(expr, UnaryOp):
-        inner = compile_expr_batch(expr.operand, schema)
+        inner = compile_expr(expr.operand, schema)
         if expr.op == "NOT":
             return lambda batch: [_not3(v) for v in inner(batch)]
         if expr.op == "NEG":
@@ -329,17 +219,17 @@ def compile_expr_batch(expr: Expr, schema: RowSchema) -> BatchFn:
             if expr.negated:
                 return lambda batch: _validity_mask(batch, position, True)
             return lambda batch: _validity_mask(batch, position, False)
-        inner = compile_expr_batch(expr.operand, schema)
+        inner = compile_expr(expr.operand, schema)
         if expr.negated:
             return lambda batch: [v is not None for v in inner(batch)]
         return lambda batch: [v is None for v in inner(batch)]
     if isinstance(expr, Between):
-        inner = compile_expr_batch(expr.operand, schema)
-        low = compile_expr_batch(expr.low, schema)
-        high = compile_expr_batch(expr.high, schema)
+        inner = compile_expr(expr.operand, schema)
+        low = compile_expr(expr.low, schema)
+        high = compile_expr(expr.high, schema)
         negated = expr.negated
 
-        def evaluate_between_batch(batch):
+        def evaluate_between(batch):
             values, lows, highs = inner(batch), low(batch), high(batch)
             try:
                 return [
@@ -354,13 +244,13 @@ def compile_expr_batch(expr: Expr, schema: RowSchema) -> BatchFn:
                     _between(value, lo, hi, negated)
                 raise
 
-        return evaluate_between_batch
+        return evaluate_between
     if isinstance(expr, Like):
-        inner = compile_expr_batch(expr.operand, schema)
+        inner = compile_expr(expr.operand, schema)
         regex_match = like_to_regex(expr.pattern).match
         negated = expr.negated
 
-        def evaluate_like_batch(batch):
+        def evaluate_like(batch):
             return [
                 None
                 if value is None
@@ -372,14 +262,14 @@ def compile_expr_batch(expr: Expr, schema: RowSchema) -> BatchFn:
                 for value in inner(batch)
             ]
 
-        return evaluate_like_batch
+        return evaluate_like
     if isinstance(expr, InSet):
-        inner = compile_expr_batch(expr.operand, schema)
+        inner = compile_expr(expr.operand, schema)
         values = expr.values
         had_null = expr.had_null
         negated = expr.negated
 
-        def evaluate_in_set_batch(batch):
+        def evaluate_in_set(batch):
             out = []
             for value in inner(batch):
                 if value is None:
@@ -392,10 +282,40 @@ def compile_expr_batch(expr: Expr, schema: RowSchema) -> BatchFn:
                 out.append((not hit) if negated else hit)
             return out
 
-        return evaluate_in_set_batch
-    # InList/anything else: scalar closure mapped over the batch's rows
-    row_fn = compile_expr(expr, schema)
-    return lambda batch: [row_fn(row) for row in batch.rows]
+        return evaluate_in_set
+    if isinstance(expr, InList):
+        inner = compile_expr(expr.operand, schema)
+        item_fns = [compile_expr(item, schema) for item in expr.items]
+        negated = expr.negated
+
+        def evaluate_in_list(batch):
+            out = []
+            # one tuple of item values per row (items may be columns)
+            for value, items in zip(
+                inner(batch), zip(*[fn(batch) for fn in item_fns])
+            ):
+                if value is None:
+                    out.append(None)
+                    continue
+                hit = value in items
+                if not hit and None in items:
+                    out.append(None)  # miss against a NULL-bearing list
+                    continue
+                out.append((not hit) if negated else hit)
+            return out
+
+        return evaluate_in_list
+    if isinstance(expr, (ScalarSubquery, InSubquery, ExistsSubquery)):
+        raise PlanningError(
+            "subqueries must be resolved by the planner before compilation "
+            "(standalone expression compilation does not execute SQL)"
+        )
+    if isinstance(expr, Aggregate):
+        raise PlanningError(
+            f"aggregate {expr!r} is only valid in SELECT or HAVING of a "
+            f"grouped query"
+        )
+    raise PlanningError(f"cannot compile expression {expr!r}")
 
 
 def _validity_mask(batch, position: int, negated: bool) -> list:
@@ -406,9 +326,9 @@ def _validity_mask(batch, position: int, negated: bool) -> list:
     return [not (bits >> j & 1) for j in range(batch.length)]
 
 
-def compile_predicate_batch(expr: Expr, schema: RowSchema) -> BatchFn:
+def compile_predicate(expr: Expr, schema: RowSchema) -> BatchFn:
     """Batch predicate: a keep-mask where NULL counts as not-satisfied."""
-    fn = compile_expr_batch(expr, schema)
+    fn = compile_expr(expr, schema)
     return lambda batch: [value is True for value in fn(batch)]
 
 

@@ -6,8 +6,8 @@ from typing import Any, Iterator
 
 from repro.errors import PlanningError
 from repro.sql.ast_nodes import Aggregate, Expr
-from repro.sql.batch import RowBatch, batched
-from repro.sql.expressions import RowSchema, compile_expr, compile_expr_batch
+from repro.sql.batch import ColumnBatch, batched
+from repro.sql.expressions import RowSchema, compile_expr
 from repro.sql.operators.base import PhysicalOp
 
 
@@ -84,32 +84,23 @@ class HashAggregateOp(PhysicalOp):
         )
         self.group_exprs = group_exprs
         self.aggregates = aggregates
-        self._group_fns = [compile_expr(e, child.output) for e in group_exprs]
-        self._group_batch_fns = [
-            compile_expr_batch(e, child.output) for e in group_exprs
-        ]
-        self._arg_fns = [
+        self._key_fns = [compile_expr(e, child.output) for e in group_exprs]
+        self._argument_fns = [
             compile_expr(agg.argument, child.output)
             if agg.argument is not None
             else None
             for agg in aggregates
         ]
-        self._arg_batch_fns = [
-            compile_expr_batch(agg.argument, child.output)
-            if agg.argument is not None
-            else None
-            for agg in aggregates
-        ]
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         groups: dict[tuple, list[_AggState]] = {}
         order: list[tuple] = []
         for batch in self.children[0].timed_batches():
             # column-at-a-time: group keys and aggregate arguments are
             # evaluated as whole columns, then accumulated row-wise
-            key_columns = [fn(batch) for fn in self._group_batch_fns]
+            key_columns = [fn(batch) for fn in self._key_fns]
             arg_columns = [
-                None if fn is None else fn(batch) for fn in self._arg_batch_fns
+                None if fn is None else fn(batch) for fn in self._argument_fns
             ]
             for i in range(len(batch)):
                 key = tuple(column[i] for column in key_columns)
@@ -126,7 +117,7 @@ class HashAggregateOp(PhysicalOp):
         if not groups and not self.group_exprs:
             # global aggregate over an empty input still yields one row
             states = [_AggState(agg.func, agg.distinct) for agg in self.aggregates]
-            yield RowBatch([tuple(state.result() for state in states)])
+            yield ColumnBatch.from_rows([tuple(state.result() for state in states)])
             return
         output = [
             key + tuple(state.result() for state in groups[key]) for key in order

@@ -3,38 +3,34 @@
 from __future__ import annotations
 
 import copy
-import itertools
 from typing import Iterator
 
 from repro.obs import Stopwatch
 from repro.obs.trace_context import current_trace
-from repro.sql.batch import DEFAULT_BATCH_SIZE, RowBatch
+from repro.sql.batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from repro.sql.expressions import RowSchema
 
 
 class PhysicalOp:
     """Base of all physical operators.
 
-    Execution is batch-at-a-time: subclasses implement :meth:`batches`
-    (a fresh iterator of :class:`RowBatch` per call); :meth:`rows` is a
-    derived row-at-a-time view. Legacy subclasses that only implement
-    :meth:`rows` still work — the default :meth:`batches` chunks their
-    row stream into batches of :attr:`batch_size`.
+    Execution is batch-at-a-time: every subclass implements
+    :meth:`batches` (a fresh iterator of :class:`ColumnBatch` per call).
 
-    Consumers iterate :meth:`timed_batches` (or :meth:`timed_rows`,
-    which flattens it), accumulating the wall time spent *producing*
-    each batch into ``total_seconds`` — inclusive of children, one
-    Stopwatch lap per batch rather than per row; ``self_seconds``
-    subtracts the children's totals, which is what the per-node
-    breakdown reports. The consumer's time between pulls is never
-    charged, and the executor folds every node's self time into
+    Consumers iterate :meth:`timed_batches`, the one operator driver
+    (:meth:`timed_rows` flattens it), accumulating the wall time spent
+    *producing* each batch into ``total_seconds`` — inclusive of
+    children, one Stopwatch lap per batch rather than per row;
+    ``self_seconds`` subtracts the children's totals, which is what the
+    per-node breakdown reports. The consumer's time between pulls is
+    never charged, and the executor folds every node's self time into
     per-operator latency histograms after the plan drains.
     """
 
     #: operators whose self-time counts as "scan nodes" in Figure 12
     is_scan = False
 
-    #: rows per RowBatch this operator emits; the planner stamps the
+    #: rows per ColumnBatch this operator emits; the planner stamps the
     #: configured ``StorageConfig.batch_size`` onto every plan node
     batch_size = DEFAULT_BATCH_SIZE
 
@@ -63,86 +59,53 @@ class PhysicalOp:
         self.ordering: list[tuple] = []
 
     # ------------------------------------------------------------------
-    def batches(self) -> Iterator[RowBatch]:
-        """Produce the operator's output as RowBatches.
+    def batches(self) -> Iterator[ColumnBatch]:
+        """Produce the operator's output (a fresh iterator per call)."""
+        raise NotImplementedError
 
-        The default adapts a rows()-only subclass by chunking its row
-        stream; subclasses implementing neither protocol raise.
+    def timed_batches(self) -> Iterator[ColumnBatch]:
+        """Drive :meth:`batches`, charging each production lap to this node.
+
+        The ``batches()`` call itself is timed: eager operators (scans,
+        sorts) do their work during construction, and missing it would
+        attribute their cost to an ancestor's self-time.
+
+        Under an active trace, this operator's
+        :class:`~repro.obs.trace_context.OpStats` frame sits on top of
+        the trace stack while it is *producing* (the ``batches()`` call
+        and each ``next()``), so every verified read, cache probe, and
+        cycle charge issued during that window lands on this operator.
+        A child pulled from inside that window pushes its own frame for
+        the duration of its lap, so leaf costs attribute to leaves, not
+        ancestors. The stack is balanced per lap — never held across a
+        ``yield`` — which keeps interleaved consumers (e.g. a merge join
+        draining two inputs) correct. Untraced, no frame is looked up,
+        pushed or popped.
         """
-        if type(self).rows is PhysicalOp.rows:
-            raise NotImplementedError
-        ordering = tuple(self.ordering)
-        iterator = self.rows()
-        while True:
-            chunk = list(itertools.islice(iterator, self.batch_size))
-            if not chunk:
-                return
-            yield RowBatch(chunk, ordering)
-
-    def rows(self) -> Iterator[tuple]:
-        """Row-at-a-time view of :meth:`batches` (DML paths, tests)."""
-        if type(self).batches is PhysicalOp.batches:
-            raise NotImplementedError
-        for batch in self.batches():
-            yield from batch.rows
-
-    def timed_batches(self) -> Iterator[RowBatch]:
-        # Time the batches() call itself: eager operators (scans, sorts)
-        # do their work during construction, and missing it would
-        # attribute their cost to an ancestor's self-time.
         trace = current_trace()
-        if trace is not None:
-            yield from self._traced_batches(trace)
-            return
+        frame = None if trace is None else trace.op_stats(self)
         watch = Stopwatch()
-        watch.resume()
-        iterator = self.batches()
-        self.total_seconds += watch.pause()
-        while True:
-            watch.resume()
-            try:
-                batch = next(iterator)
-            except StopIteration:
-                self.total_seconds += watch.pause()
-                return
-            self.total_seconds += watch.pause()
-            self.rows_out += len(batch)
-            self.batches_out += 1
-            yield batch
-
-    def _traced_batches(self, trace) -> Iterator[RowBatch]:
-        """Traced twin of :meth:`timed_batches`.
-
-        While this operator is *producing* (the ``batches()`` call and
-        each ``next()``), its :class:`~repro.obs.trace_context.OpStats`
-        frame sits on top of the trace stack, so every verified read,
-        cache probe, and cycle charge issued during that window lands on
-        this operator. A child operator pulled from inside that window
-        pushes its own frame for the duration of its lap, so leaf costs
-        attribute to leaves, not ancestors. The stack is balanced per
-        lap — never held across a ``yield`` — which keeps interleaved
-        consumers (e.g. a merge join draining two inputs) correct.
-        """
-        frame = trace.op_stats(self)
-        watch = Stopwatch()
-        trace.push(frame)
+        if frame is not None:
+            trace.push(frame)
         watch.resume()
         try:
             iterator = self.batches()
         finally:
             self.total_seconds += watch.pause()
-            trace.pop()
+            if frame is not None:
+                trace.pop()
         while True:
-            trace.push(frame)
+            if frame is not None:
+                trace.push(frame)
             watch.resume()
             try:
-                try:
-                    batch = next(iterator)
-                except StopIteration:
-                    return
+                batch = next(iterator)
+            except StopIteration:
+                return
             finally:
                 self.total_seconds += watch.pause()
-                trace.pop()
+                if frame is not None:
+                    trace.pop()
             self.rows_out += len(batch)
             self.batches_out += 1
             yield batch

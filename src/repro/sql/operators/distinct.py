@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.sql.batch import RowBatch
+from repro.sql.batch import ColumnBatch
 from repro.sql.operators.base import PhysicalOp
 
 
@@ -14,7 +14,7 @@ class DistinctOp(PhysicalOp):
     def __init__(self, child: PhysicalOp):
         super().__init__(child.output, [child])
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         seen: set[tuple] = set()
         for batch in self.children[0].timed_batches():
             fresh = []
@@ -24,7 +24,7 @@ class DistinctOp(PhysicalOp):
                 seen.add(row)
                 fresh.append(row)
             if fresh:
-                yield RowBatch(fresh)
+                yield ColumnBatch.from_rows(fresh)
 
     def describe(self) -> str:
         return "Distinct"

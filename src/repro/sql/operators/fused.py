@@ -30,11 +30,7 @@ from typing import Iterator, Optional
 
 from repro.sql.ast_nodes import Expr
 from repro.sql.batch import ColumnBatch
-from repro.sql.expressions import (
-    RowSchema,
-    compile_expr_batch,
-    compile_predicate_batch,
-)
+from repro.sql.expressions import RowSchema, compile_expr, compile_predicate
 from repro.sql.operators.base import PhysicalOp
 
 
@@ -59,12 +55,12 @@ class FusedScanFilterProjectOp(PhysicalOp):
         self.predicates = predicates
         self.exprs = exprs
         self._pred_fns = [
-            compile_predicate_batch(p, scan.output) for p in predicates
+            compile_predicate(p, scan.output) for p in predicates
         ]
         self._expr_fns = (
             None
             if exprs is None
-            else [compile_expr_batch(e, scan.output) for e in exprs]
+            else [compile_expr(e, scan.output) for e in exprs]
         )
         # filtering preserves the scan's interesting order; a projection
         # re-shapes the row and drops it (same contract as ProjectOp)

@@ -8,23 +8,97 @@ usable inner index.
 
 Join conditions are split by the planner into equi-key pairs
 (left-expr = right-expr) plus a residual predicate evaluated on the
-combined row. All joins consume and emit :class:`RowBatch` streams; the
-match logic itself stays row-wise (its cost is dominated by the data
-movement the batches already amortize), with output rows flushed in
-batches of ``batch_size``.
+combined row. All joins consume and emit :class:`ColumnBatch` streams
+and work column-at-a-time: key expressions are evaluated once per input
+batch, and the residual once per batch of candidate pairs. Pairing
+itself is row-wise — each operator produces, per left row, the right
+rows whose keys match — and rows that must wait (a merge-join group, a
+spilled nested-loop inner) carry their evaluated key with them.
+
+An equi-key tuple containing NULL never matches (``NULL = NULL`` is
+not true): such rows are left out of hash tables, merge inputs and
+nested-loop inners, and under LEFT JOIN a left row with a NULL key is
+NULL-padded.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional
 
 from repro.obs import timed_call
 from repro.sql.ast_nodes import Expr
-from repro.sql.batch import RowBatch, batched
+from repro.sql.batch import ColumnBatch
 from repro.sql.expressions import compile_expr, compile_predicate
 from repro.sql.operators.base import PhysicalOp
 from repro.sql.operators.scan import table_schema
+
+_key_of = itemgetter(0)
+
+
+def _key_tuples(key_fns, batch: ColumnBatch) -> list[tuple]:
+    """The batch's equi-key tuples, one per row (``()`` without keys)."""
+    if not key_fns:
+        return [()] * batch.length
+    return list(zip(*[fn(batch) for fn in key_fns]))
+
+
+class _Pairing:
+    """Residual filtering and output batching shared by every join.
+
+    A join feeds :meth:`batches` ``(left_row, right_rows)`` pairs — the
+    right rows whose keys match, in output order. Candidate pairs
+    accumulate until about ``batch_size`` of them are pending; the
+    residual then runs once over all of them as one batch, and a left
+    row none of whose pairs survive is NULL-padded under LEFT JOIN.
+    """
+
+    def __init__(self, residual: Optional[Expr], output, left_outer: bool, width: int):
+        self._residual_fn = (
+            compile_predicate(residual, output) if residual is not None else None
+        )
+        self.left_outer = left_outer
+        self._null_right = (None,) * width
+
+    def batches(
+        self,
+        matches: Iterable[tuple[tuple, Iterable[tuple]]],
+        batch_size: int,
+    ) -> Iterator[ColumnBatch]:
+        pending: list[tuple[tuple, list[tuple]]] = []
+        count = 0
+        for left_row, right_rows in matches:
+            combined = [left_row + right_row for right_row in right_rows]
+            if not combined and not self.left_outer:
+                continue
+            pending.append((left_row, combined))
+            count += len(combined) or 1
+            if count >= batch_size:
+                out = self._finish(pending)
+                if out:
+                    yield ColumnBatch.from_rows(out)
+                pending, count = [], 0
+        if pending:
+            out = self._finish(pending)
+            if out:
+                yield ColumnBatch.from_rows(out)
+
+    def _finish(self, pending: list[tuple[tuple, list[tuple]]]) -> list[tuple]:
+        keep = None
+        if self._residual_fn is not None:
+            candidates = [row for _, combined in pending for row in combined]
+            if candidates:
+                keep = iter(self._residual_fn(ColumnBatch.from_rows(candidates)))
+        out: list[tuple] = []
+        for left_row, combined in pending:
+            if keep is not None:
+                combined = [row for row in combined if next(keep)]
+            if combined:
+                out.extend(combined)
+            elif self.left_outer:
+                out.append(left_row + self._null_right)
+        return out
 
 
 class _JoinBase(PhysicalOp):
@@ -44,75 +118,48 @@ class _JoinBase(PhysicalOp):
         self.residual = residual
         self.spill = spill
         self.left_outer = left_outer
-        self._null_right = (None,) * len(right.output)
         self._left_key_fns = [compile_expr(e, left.output) for e in left_keys]
         self._right_key_fns = [compile_expr(e, right.output) for e in right_keys]
-        self._residual_fn = (
-            compile_predicate(residual, self.output) if residual is not None else None
-        )
+        self._pairing = _Pairing(residual, self.output, left_outer, len(right.output))
 
-    def _emit(self, left_row: tuple, right_row: tuple) -> Optional[tuple]:
-        combined = left_row + right_row
-        if self._residual_fn is not None and not self._residual_fn(combined):
-            return None
-        return combined
-
-    def _left_key(self, row: tuple) -> tuple:
-        return tuple(fn(row) for fn in self._left_key_fns)
-
-    def _right_key(self, row: tuple) -> tuple:
-        return tuple(fn(row) for fn in self._right_key_fns)
+    def _keyed(self, side: int) -> Iterator[tuple[tuple, tuple]]:
+        """``(key, row)`` per input row of one side, keys evaluated per batch."""
+        key_fns = self._right_key_fns if side else self._left_key_fns
+        for batch in self.children[side].timed_batches():
+            yield from zip(_key_tuples(key_fns, batch), batch.rows)
 
 
 class NestedLoopJoinOp(_JoinBase):
     """Nested loops with a materialized inner (right) side.
 
-    With no equi-keys this is a general theta join; with keys they are
-    simply folded into the residual check. With a spill manager, the
-    materialized inner overflows into the verifiable storage when it
-    exceeds the enclave budget — the paper's Q19 plan "materializes the
-    Select result on the inner loop" and Section 5.4 proposes exactly
-    this storage reuse for oversized intermediate state.
+    With no equi-keys this is a general theta join; with keys, each
+    inner row is materialized with its evaluated key, so a probe only
+    compares key tuples. With a spill manager, the materialized inner
+    overflows into the verifiable storage when it exceeds the enclave
+    budget — the paper's Q19 plan "materializes the Select result on the
+    inner loop" and Section 5.4 proposes exactly this storage reuse for
+    oversized intermediate state.
     """
 
-    def batches(self) -> Iterator[RowBatch]:
-        buffer = None
-        if self.spill is not None:
-            buffer = self.spill.buffer("nl-inner")
-            # the spill boundary is row-major: each columnar batch
-            # materializes its row tuples exactly once, here
-            for inner_batch in self.children[1].timed_batches():
-                buffer.extend(inner_batch.to_rows())
-            inner = buffer
-        else:
-            inner = [
-                row
-                for batch in self.children[1].timed_batches()
-                for row in batch.to_rows()
-            ]
+    def batches(self) -> Iterator[ColumnBatch]:
+        buffer = None if self.spill is None else self.spill.buffer("nl-inner")
+        inner = [] if buffer is None else buffer
         try:
-            out: list[tuple] = []
-            for batch in self.children[0].timed_batches():
-                for left_row in batch.rows:
-                    lkey = self._left_key(left_row) if self.left_keys else None
-                    matched = False
-                    for right_row in inner:
-                        if lkey is not None and lkey != self._right_key(right_row):
-                            continue
-                        combined = self._emit(left_row, right_row)
-                        if combined is not None:
-                            matched = True
-                            out.append(combined)
-                    if self.left_outer and not matched:
-                        out.append(left_row + self._null_right)
-                    if len(out) >= self.batch_size:
-                        yield RowBatch(out)
-                        out = []
-            if out:
-                yield RowBatch(out)
+            # the inner is kept keyed; a NULL in a key never matches
+            for key, row in self._keyed(1):
+                if None not in key:
+                    inner.append((key, row))
+            yield from self._pairing.batches(self._probe(inner), self.batch_size)
         finally:
             if buffer is not None:
                 buffer.close()
+
+    def _probe(self, inner) -> Iterator[tuple[tuple, list[tuple]]]:
+        for key, left_row in self._keyed(0):
+            if None in key:
+                yield left_row, []
+            else:
+                yield left_row, [row for k, row in inner if k == key]
 
     def describe(self) -> str:
         return f"NestedLoopJoin(keys={list(zip(self.left_keys, self.right_keys))})"
@@ -124,19 +171,18 @@ class MergeJoinOp(_JoinBase):
     Sorts both inputs (the "larger intermediate state" the paper notes
     for the merge plan of Q19) — externally through spill runs when a
     spill manager is attached — then merges group-wise, handling
-    duplicate keys on both sides.
+    duplicate keys on both sides. Each row is sorted and grouped as
+    ``(key, row)``, its key evaluated once with its input batch.
     """
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         if not self.left_keys:
             raise ValueError("MergeJoin requires equi-join keys")
-        return batched(self._merge(), self.batch_size)
+        return self._pairing.batches(self._merge(), self.batch_size)
 
-    def _merge(self) -> Iterator[tuple]:
-        left_sorted = self._sorted_side(0, self._left_key)
-        right_sorted = self._sorted_side(1, self._right_key)
-        left_groups = itertools.groupby(left_sorted, key=self._left_key)
-        right_groups = itertools.groupby(right_sorted, key=self._right_key)
+    def _merge(self) -> Iterator[tuple[tuple, list[tuple]]]:
+        left_groups = itertools.groupby(self._sorted_side(0), key=_key_of)
+        right_groups = itertools.groupby(self._sorted_side(1), key=_key_of)
         left_entry = next(left_groups, None)
         right_entry = next(right_groups, None)
         while left_entry is not None and right_entry is not None:
@@ -147,28 +193,21 @@ class MergeJoinOp(_JoinBase):
             elif lkey > rkey:
                 right_entry = next(right_groups, None)
             else:
-                right_rows = list(right_group)  # duplicate group, re-scanned
-                for left_row in left_group:
-                    for right_row in right_rows:
-                        combined = self._emit(left_row, right_row)
-                        if combined is not None:
-                            yield combined
+                right_rows = [row for _, row in right_group]
+                for _, left_row in left_group:
+                    yield left_row, right_rows
                 left_entry = next(left_groups, None)
                 right_entry = next(right_groups, None)
 
-    def _sorted_side(self, index: int, key) -> Iterator[tuple]:
+    def _sorted_side(self, side: int) -> Iterator[tuple[tuple, tuple]]:
         # rows with NULL join keys can never match; dropping them before
         # the sort also keeps the sort keys totally ordered
-        source = (
-            row
-            for row in self.children[index].timed_rows()
-            if None not in key(row)
-        )
+        source = (entry for entry in self._keyed(side) if None not in entry[0])
         if self.spill is not None:
             from repro.sql.spill import external_sort
 
-            return external_sort(source, key, self.spill)
-        return iter(sorted(source, key=key))
+            return external_sort(source, _key_of, self.spill)
+        return iter(sorted(source, key=_key_of))
 
     def describe(self) -> str:
         return f"MergeJoin(keys={list(zip(self.left_keys, self.right_keys))})"
@@ -177,29 +216,18 @@ class MergeJoinOp(_JoinBase):
 class HashJoinOp(_JoinBase):
     """Classic build/probe hash join on the equi-keys (build = right)."""
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         if not self.left_keys:
             raise ValueError("HashJoin requires equi-join keys")
         build: dict[tuple, list[tuple]] = {}
-        for batch in self.children[1].timed_batches():
-            for right_row in batch.rows:
-                build.setdefault(self._right_key(right_row), []).append(right_row)
-        out: list[tuple] = []
-        for batch in self.children[0].timed_batches():
-            for left_row in batch.rows:
-                matched = False
-                for right_row in build.get(self._left_key(left_row), ()):
-                    combined = self._emit(left_row, right_row)
-                    if combined is not None:
-                        matched = True
-                        out.append(combined)
-                if self.left_outer and not matched:
-                    out.append(left_row + self._null_right)
-                if len(out) >= self.batch_size:
-                    yield RowBatch(out)
-                    out = []
-        if out:
-            yield RowBatch(out)
+        for key, row in self._keyed(1):
+            if None not in key:
+                build.setdefault(key, []).append(row)
+        probes = (
+            (left_row, () if None in key else build.get(key, ()))
+            for key, left_row in self._keyed(0)
+        )
+        return self._pairing.batches(probes, self.batch_size)
 
     def describe(self) -> str:
         outer = ", left-outer" if self.left_outer else ""
@@ -215,8 +243,7 @@ class IndexNestedLoopJoinOp(PhysicalOp):
     The inner side must be a base table whose primary key equals the
     outer join key. Each inner lookup is a verified point access; its
     time is tracked separately so benchmarks can attribute it to scan
-    work. Lookups run one batch of outer rows at a time, emitting one
-    output batch per input batch.
+    work. Outer keys are evaluated once per outer batch.
     """
 
     def __init__(
@@ -234,29 +261,22 @@ class IndexNestedLoopJoinOp(PhysicalOp):
         self.left_key = left_key
         self.residual = residual
         self._left_key_fn = compile_expr(left_key, left.output)
-        self._residual_fn = (
-            compile_predicate(residual, self.output) if residual is not None else None
-        )
+        self._pairing = _Pairing(residual, self.output, False, len(inner_schema))
 
     is_scan = False  # inner lookups are charged to internal_scan_seconds
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
+        return self._pairing.batches(self._lookups(), self.batch_size)
+
+    def _lookups(self) -> Iterator[tuple[tuple, tuple]]:
         for batch in self.children[0].timed_batches():
-            out: list[tuple] = []
-            for left_row in batch.rows:
-                key = self._left_key_fn(left_row)
+            for key, left_row in zip(self._left_key_fn(batch), batch.rows):
                 if key is None:
                     continue
                 (inner_row, _proof), elapsed = timed_call(self.inner_table.get, key)
                 self.internal_scan_seconds += elapsed
-                if inner_row is None:
-                    continue
-                combined = left_row + inner_row
-                if self._residual_fn is not None and not self._residual_fn(combined):
-                    continue
-                out.append(combined)
-            if out:
-                yield RowBatch(out)
+                if inner_row is not None:
+                    yield left_row, (inner_row,)
 
     def describe(self) -> str:
         return (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.sql.batch import RowBatch
+from repro.sql.batch import ColumnBatch
 from repro.sql.operators.base import PhysicalOp
 
 
@@ -16,7 +16,7 @@ class LimitOp(PhysicalOp):
         self.limit = limit
         self.ordering = list(child.ordering)  # a prefix preserves order
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         if self.limit <= 0:
             return
         remaining = self.limit

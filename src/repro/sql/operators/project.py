@@ -6,7 +6,7 @@ from typing import Iterator, Optional
 
 from repro.sql.ast_nodes import Expr
 from repro.sql.batch import ColumnBatch
-from repro.sql.expressions import RowSchema, compile_expr, compile_expr_batch
+from repro.sql.expressions import RowSchema, compile_expr
 from repro.sql.operators.base import PhysicalOp
 
 
@@ -34,11 +34,10 @@ class ProjectOp(PhysicalOp):
             [child],
         )
         self.exprs = exprs
-        self._fns = [compile_expr(e, child.output) for e in exprs]
-        self._batch_fns = [compile_expr_batch(e, child.output) for e in exprs]
+        self._expr_fns = [compile_expr(e, child.output) for e in exprs]
 
     def batches(self) -> Iterator[ColumnBatch]:
-        fns = self._batch_fns
+        fns = self._expr_fns
         for batch in self.children[0].timed_batches():
             if not fns:
                 yield ColumnBatch([], len(batch))

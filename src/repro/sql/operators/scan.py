@@ -12,7 +12,7 @@ import datetime
 from typing import Any, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
-from repro.sql.batch import RowBatch, batched
+from repro.sql.batch import ColumnBatch, batched
 from repro.sql.expressions import RowSchema
 from repro.sql.operators.base import PhysicalOp
 from repro.sql.ast_nodes import Parameter
@@ -36,7 +36,7 @@ class SeqScanOp(PhysicalOp):
         # the primary chain yields rows in primary-key order
         self.ordering = [(binding, table.schema.primary_key, True)]
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         # the storage layer fetches chain records through the batched
         # verified-read path at the same granularity the engine consumes
         rows = self.table.seq_scan(batch_size=self.batch_size)
@@ -85,7 +85,7 @@ class RangeScanOp(PhysicalOp):
             return None
         return tightest(resolved)
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         interval = self.interval()
         if interval is None:
             return iter(())
@@ -111,7 +111,7 @@ class PointLookupOp(PhysicalOp):
         self.key = key
         self._key_type = table.schema.column(table.schema.primary_key).type
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         key = _resolve_key(self.key, self.table.schema.primary_key, self._key_type)
         if key is None:
             # either a NULL-bound parameter or a literal NULL key:
@@ -120,7 +120,7 @@ class PointLookupOp(PhysicalOp):
             return
         row, _proof = self.table.get(key)
         if row is not None:
-            yield RowBatch([row])
+            yield ColumnBatch.from_rows([row])
 
     def describe(self) -> str:
         return (

@@ -1,25 +1,31 @@
-"""Ordering operator."""
+"""Ordering operators."""
 
 from __future__ import annotations
 
 import functools
+import heapq
+from operator import itemgetter
 from typing import Iterator
 
-from repro.sql.ast_nodes import OrderItem
-from repro.sql.batch import RowBatch, batched
+from repro.sql.ast_nodes import ColumnRef, OrderItem
+from repro.sql.batch import ColumnBatch, batched
 from repro.sql.expressions import compile_expr
 from repro.sql.operators.base import PhysicalOp
+
+_key_of = itemgetter(0)
+_row_of = itemgetter(1)
 
 
 class SortOp(PhysicalOp):
     """Materialize and sort the input by the ORDER BY items.
 
-    NULLs sort first on ascending keys (a documented convention); mixed
-    ascending/descending items are handled by composing per-key rank
-    tuples (ascending) with negation-free reverse flags via multi-pass
-    stable sorting in memory, or — when a spill manager is attached and
-    the input exceeds the enclave budget — by an external merge sort
-    whose runs live in the verifiable storage (Section 5.4).
+    NULLs sort first on ascending keys (a documented convention). The
+    sort keys are evaluated column-at-a-time per input batch and each
+    row travels as ``(key, row)``, so no expression is evaluated per
+    row afterwards. Mixed ascending/descending items sort by multi-pass
+    stable sorting in memory; otherwise — when a spill manager is
+    attached and the input exceeds the enclave budget — an external
+    merge sort keeps its runs in the verifiable storage (Section 5.4).
     """
 
     def __init__(
@@ -31,60 +37,31 @@ class SortOp(PhysicalOp):
         super().__init__(child.output, [child])
         self.items = items
         self.spill = spill
-        self._fns = [compile_expr(item.expr, child.output) for item in items]
-        from repro.sql.ast_nodes import ColumnRef
-
+        self._key_fns = [compile_expr(item.expr, child.output) for item in items]
         self.ordering = [
             (item.expr.qualifier, item.expr.name, item.ascending)
             for item in items
             if isinstance(item.expr, ColumnRef)
         ]
 
-    def batches(self) -> Iterator[RowBatch]:
-        source = self.children[0].timed_rows()
-        ordering = tuple(self.ordering)
-        if self.spill is not None:
-            return batched(self._external(source), self.batch_size, ordering)
-        rows = list(source)
-        # last key first: stable sorts compose right-to-left
-        for item, fn in reversed(list(zip(self.items, self._fns))):
-            rows.sort(
-                key=lambda row: _null_key(fn(row)),
-                reverse=not item.ascending,
+    def batches(self) -> Iterator[ColumnBatch]:
+        keyed = _keyed_rows(self.children[0].timed_batches(), self._key_fns)
+        ascending = {item.ascending for item in self.items}
+        if self.spill is not None and len(ascending) == 1:
+            from repro.sql.spill import external_sort
+
+            keyed = external_sort(
+                keyed, _key_of, self.spill, reverse=not ascending.pop()
             )
-        return batched(rows, self.batch_size, ordering)
-
-    def _external(self, source) -> Iterator[tuple]:
-        """Spill-backed sort: one composite key, single merge pass.
-
-        Mixed ASC/DESC needs a single total-order key; descending
-        components are inverted where possible (numbers) and otherwise
-        fall back to in-memory sorting for that pathological mix.
-        """
-        from repro.sql.spill import external_sort
-
-        if all(item.ascending for item in self.items):
-            fns = self._fns
-
-            def key(row):
-                return tuple(_null_key(fn(row)) for fn in fns)
-
-            return external_sort(source, key, self.spill)
-        if all(not item.ascending for item in self.items):
-            fns = self._fns
-
-            def key(row):
-                return tuple(_null_key(fn(row)) for fn in fns)
-
-            return external_sort(source, key, self.spill, reverse=True)
-        # mixed directions: multi-pass stable in-memory sort
-        rows = list(source)
-        for item, fn in reversed(list(zip(self.items, self._fns))):
-            rows.sort(
-                key=lambda row: _null_key(fn(row)),
-                reverse=not item.ascending,
-            )
-        return iter(rows)
+        else:
+            keyed = list(keyed)
+            # last key first: stable sorts compose right-to-left
+            for position in reversed(range(len(self.items))):
+                keyed.sort(
+                    key=lambda entry: entry[0][position],
+                    reverse=not self.items[position].ascending,
+                )
+        return batched(map(_row_of, keyed), self.batch_size, tuple(self.ordering))
 
     def describe(self) -> str:
         parts = [
@@ -107,25 +84,19 @@ class TopNOp(PhysicalOp):
         super().__init__(child.output, [child])
         self.items = items
         self.limit = limit
-        self._fns = [compile_expr(item.expr, child.output) for item in items]
+        self._key_fns = [compile_expr(item.expr, child.output) for item in items]
         self._directions = [item.ascending for item in items]
 
-    def batches(self) -> Iterator[RowBatch]:
+    def batches(self) -> Iterator[ColumnBatch]:
         if self.limit <= 0:
             return iter(())
-        import heapq
-
-        fns, directions = self._fns, self._directions
-
-        def key(row):
-            return _DirectedKey(
-                tuple(_null_key(fn(row)) for fn in fns), directions
-            )
-
+        directions = self._directions
         top = heapq.nsmallest(
-            self.limit, self.children[0].timed_rows(), key=key
+            self.limit,
+            _keyed_rows(self.children[0].timed_batches(), self._key_fns),
+            key=lambda entry: _DirectedKey(entry[0], directions),
         )
-        return batched(top, self.batch_size)
+        return batched(list(map(_row_of, top)), self.batch_size)
 
     def describe(self) -> str:
         parts = [
@@ -133,6 +104,19 @@ class TopNOp(PhysicalOp):
             for item in self.items
         ]
         return f"TopN({self.limit}, by {', '.join(parts)})"
+
+
+def _keyed_rows(batches, key_fns) -> Iterator[tuple]:
+    """``(key, row)`` per input row, keys evaluated once per batch.
+
+    A key is one ``_null_key`` component per ORDER BY item: plain tuples
+    of ints, SQL values and None, so a keyed row spills through the
+    record codec and ``heapq.merge`` compares keys without evaluating
+    anything.
+    """
+    for batch in batches:
+        columns = [[_null_key(v) for v in fn(batch)] for fn in key_fns]
+        yield from zip(zip(*columns), batch.rows)
 
 
 @functools.total_ordering
@@ -158,19 +142,7 @@ class _DirectedKey:
         return False
 
 
-@functools.total_ordering
-class _NullFirst:
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, _NullFirst)
-
-    def __lt__(self, other):
-        return not isinstance(other, _NullFirst)
-
-
-_NULL_FIRST = _NullFirst()
-
-
 def _null_key(value):
-    return (0, _NULL_FIRST) if value is None else (1, value)
+    # NULL sorts first: (0, None) never reaches a comparison of None
+    # with a value, because the flags already differ
+    return (0, None) if value is None else (1, value)

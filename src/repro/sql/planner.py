@@ -97,7 +97,7 @@ class Planner:
         #: optional SpillManager: materializing operators overflow their
         #: intermediate state into verifiable storage (Section 5.4)
         self.spill = spill
-        #: rows per RowBatch on every stamped plan node; 1 degenerates to
+        #: rows per ColumnBatch on every stamped plan node; 1 degenerates to
         #: row-at-a-time execution. None keeps each operator's class
         #: default (DEFAULT_BATCH_SIZE).
         self.batch_size = batch_size
@@ -556,7 +556,7 @@ class Planner:
         if left_keys:
             return HashJoinOp(
                 left, right, left_keys, right_keys, residual_expr,
-                spill=self.spill, left_outer=True,
+                left_outer=True,
             )
         return NestedLoopJoinOp(
             left, right, [], [], residual_expr,

@@ -48,7 +48,7 @@ class StorageConfig:
     #: enclave memory (the Section 5.4 future-work direction); None
     #: keeps all intermediate state in the enclave
     spill_threshold_rows: int | None = None
-    #: rows per :class:`~repro.sql.batch.RowBatch` pulled through the
+    #: rows per :class:`~repro.sql.batch.ColumnBatch` pulled through the
     #: operator tree, and cells per batched verified read beneath it.
     #: 1 degenerates to the original row-at-a-time execution; the
     #: default is the winner of ``benchmarks/test_ablation_batch_size``

@@ -1,6 +1,6 @@
 """Batched execution is a pure performance change, not a semantic one.
 
-The vectorized engine (RowBatch pulls through the operator tree) must
+The vectorized engine (ColumnBatch pulls through the operator tree) must
 produce bit-identical results at every batch size — batch size 1
 degenerates to the original row-at-a-time execution, so it is the
 reference. Two properties are checked over the seeded fuzzer corpus:
@@ -32,7 +32,7 @@ def test_fuzzer_corpus_matches_sqlite_at_batch_size(batch_size):
     _fuzz_corpus(
         seed=17,
         queries=40,
-        storage_config=StorageConfig(batch_size=batch_size),
+        storage_configs=[StorageConfig(batch_size=batch_size)],
     )
 
 
@@ -40,21 +40,23 @@ def _run_corpus(batch_size, seed, queries=40, reseed_data_every=20):
     """Replay the seeded corpus at one batch size; return per-query rows.
 
     The same seed drives data and query generation, so every batch size
-    sees the same tables and the same statements.
+    sees the same tables and the same statements; each join runs under
+    every join hint it accepts.
     """
     rng = random.Random(seed)
     fuzzer = QueryFuzzer(rng)
-    storage = engine = None
+    engine = None
     results = []
     for index in range(queries):
         if index % reseed_data_every == 0:
-            storage, engine, _connection = _fuzz_setup(
-                rng, StorageConfig(batch_size=batch_size)
+            (engine,), _connection = _fuzz_setup(
+                rng, [StorageConfig(batch_size=batch_size)]
             )
-        sql, exact_order = fuzzer.next_query()
-        rows = engine.execute(sql).rows
-        results.append(list(rows) if exact_order else _canon(rows))
-    storage.verify_now()  # the batched read path left a clean RS/WS state
+        sql, exact_order, hints = fuzzer.next_query()
+        for hint in hints:
+            rows = engine.execute(sql, join_hint=hint).rows
+            results.append(list(rows) if exact_order else _canon(rows))
+    engine.storage.verify_now()  # the batched read path left a clean RS/WS state
     return results
 
 

@@ -6,11 +6,9 @@ the single source of truth for the engine batch size, and the
 scan→filter→project fusion the planner installs over base tables.
 """
 
-import pytest
-
 from repro.obs import MetricsRegistry
 from repro.sql import batch as batch_module
-from repro.sql.batch import ColumnBatch, RowBatch, batched
+from repro.sql.batch import ColumnBatch, batched
 from repro.storage.config import DEFAULT_BATCH_SIZE, StorageConfig
 
 
@@ -65,13 +63,6 @@ def test_zero_width_batch_keeps_cardinality():
     batch = ColumnBatch([], 5)
     assert len(batch) == 5
     assert batch.to_rows() == [()] * 5
-
-
-def test_row_batch_compat_constructor():
-    batch = RowBatch(list(ROWS), ordering=(("t", "id", True),))
-    assert isinstance(batch, ColumnBatch)
-    assert batch.ordering == (("t", "id", True),)
-    assert batch.to_rows() == ROWS
 
 
 # ----------------------------------------------------------------------

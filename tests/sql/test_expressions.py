@@ -1,4 +1,8 @@
-"""Unit tests for expression compilation and NULL semantics."""
+"""Unit tests for expression compilation and NULL semantics.
+
+The engine has one compiler, column-at-a-time over ColumnBatches;
+single-row evaluation runs it over a one-row batch.
+"""
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.sql.ast_nodes import (
     Literal,
     UnaryOp,
 )
+from repro.sql.batch import ColumnBatch
 from repro.sql.expressions import (
     RowSchema,
     compile_expr,
@@ -28,7 +33,12 @@ SCHEMA = RowSchema([("t", "a"), ("t", "b"), ("u", "a")])
 
 
 def ev(expr, row=(1, 2, 3)):
-    return compile_expr(expr, SCHEMA)(row)
+    return compile_expr(expr, SCHEMA)(ColumnBatch.from_rows([row]))[0]
+
+
+def row_fn(fn):
+    """A compiled batch closure as a single-row function."""
+    return lambda row: fn(ColumnBatch.from_rows([row]))[0]
 
 
 def test_literal_and_column():
@@ -90,7 +100,9 @@ def test_three_valued_and_or():
 
 
 def test_predicate_null_is_false():
-    pred = compile_predicate(BinaryOp("=", ColumnRef("b"), Literal(None)), SCHEMA)
+    pred = row_fn(
+        compile_predicate(BinaryOp("=", ColumnRef("b"), Literal(None)), SCHEMA)
+    )
     assert pred((1, 2, 3)) is False
 
 
@@ -107,6 +119,22 @@ def test_in_list():
     assert ev(InList(Literal(None), (Literal(1),))) is None
 
 
+def test_in_list_with_null_item():
+    # SQL IN: a miss against a list holding NULL is NULL, a hit is TRUE
+    with_null = (Literal(1), Literal(None))
+    assert ev(InList(ColumnRef("b"), with_null)) is None
+    assert ev(InList(ColumnRef("b"), with_null, negated=True)) is None
+    assert ev(InList(ColumnRef("a", "t"), with_null)) is True
+    assert ev(InList(ColumnRef("a", "t"), with_null, negated=True)) is False
+
+
+def test_in_list_column_at_a_time():
+    # items may be columns: each row tests against its own item values
+    expr = InList(ColumnRef("b"), (ColumnRef("a", "t"), Literal(7)))
+    batch = ColumnBatch.from_rows([(2, 2, 0), (1, 7, 0), (1, 5, 0), (None, 5, 0)])
+    assert compile_expr(expr, SCHEMA)(batch) == [True, True, False, None]
+
+
 def test_between():
     assert ev(Between(ColumnRef("b"), Literal(1), Literal(3))) is True
     assert ev(Between(ColumnRef("b"), Literal(3), Literal(9))) is False
@@ -115,19 +143,19 @@ def test_between():
 
 def test_like():
     schema = RowSchema([(None, "s")])
-    fn = compile_expr(Like(ColumnRef("s"), "ab%"), schema)
+    fn = row_fn(compile_expr(Like(ColumnRef("s"), "ab%"), schema))
     assert fn(("abc",)) is True
     assert fn(("xabc",)) is False
-    fn = compile_expr(Like(ColumnRef("s"), "a_c"), schema)
+    fn = row_fn(compile_expr(Like(ColumnRef("s"), "a_c"), schema))
     assert fn(("abc",)) is True
     assert fn(("abbc",)) is False
-    fn = compile_expr(Like(ColumnRef("s"), "50%"), schema)
+    fn = row_fn(compile_expr(Like(ColumnRef("s"), "50%"), schema))
     assert fn(("50 percent",)) is True
 
 
 def test_like_escapes_regex_metachars():
     schema = RowSchema([(None, "s")])
-    fn = compile_expr(Like(ColumnRef("s"), "a.c"), schema)
+    fn = row_fn(compile_expr(Like(ColumnRef("s"), "a.c"), schema))
     assert fn(("a.c",)) is True
     assert fn(("abc",)) is False
 

@@ -11,6 +11,7 @@ from repro.sql.ast_nodes import (
     Literal,
     OrderItem,
 )
+from repro.sql.batch import batched
 from repro.sql.expressions import RowSchema
 from repro.sql.operators import (
     FilterOp,
@@ -39,8 +40,8 @@ class RowsOp(PhysicalOp):
         super().__init__(RowSchema(bindings), [])
         self._rows = rows
 
-    def rows(self):
-        return iter(self._rows)
+    def batches(self):
+        return batched(self._rows, self.batch_size)
 
 
 def make_table():
@@ -154,6 +155,47 @@ def test_equi_joins_agree(cls):
         (2, "b", 2, "B"),
         (2, "bb", 2, "B"),
         (3, "c", 3, "C"),
+    ]
+
+
+@pytest.mark.parametrize("cls", [NestedLoopJoinOp, MergeJoinOp, HashJoinOp])
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+def test_null_keys_never_match(cls, batch_size):
+    # composite keys: a NULL in either component rules the row out
+    left = RowsOp(
+        [("l", "k"), ("l", "j"), ("l", "x")],
+        [(1, 1, "a"), (None, 1, "b"), (2, None, "c"), (None, None, "d")],
+    )
+    right = RowsOp(
+        [("r", "k"), ("r", "j"), ("r", "y")],
+        [(1, 1, "A"), (None, 1, "B"), (2, None, "C"), (None, None, "D")],
+    )
+    keys = (
+        [ColumnRef("k", "l"), ColumnRef("j", "l")],
+        [ColumnRef("k", "r"), ColumnRef("j", "r")],
+    )
+    op = cls(left, right, *keys, None)
+    for node in op.walk():
+        node.batch_size = batch_size
+    assert list(op.timed_rows()) == [(1, 1, "a", 1, 1, "A")]
+
+
+@pytest.mark.parametrize("cls", [NestedLoopJoinOp, HashJoinOp])
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+def test_left_join_pads_null_keys(cls, batch_size):
+    left = RowsOp([("l", "k"), ("l", "x")], [(1, "a"), (None, "b"), (3, "c")])
+    right = RowsOp([("r", "k"), ("r", "y")], [(1, "A"), (None, "B"), (1, "AA")])
+    residual = BinaryOp("!=", ColumnRef("y", "r"), Literal("AA"))
+    op = cls(
+        left, right, [ColumnRef("k", "l")], [ColumnRef("k", "r")], residual,
+        left_outer=True,
+    )
+    for node in op.walk():
+        node.batch_size = batch_size
+    assert list(op.timed_rows()) == [
+        (1, "a", 1, "A"),
+        (None, "b", None, None),
+        (3, "c", None, None),
     ]
 
 

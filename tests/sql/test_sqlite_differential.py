@@ -8,7 +8,9 @@ our parser, planner, operators or NULL handling.
 The generated subset deliberately avoids known semantic differences:
 no division (SQLite's ``/`` on integers truncates), no string ordering
 edge cases beyond plain ASCII, LIMIT only under a unique total ORDER
-BY.
+BY. It does include NULL join keys and NULL items in ``[NOT] IN``
+lists, and every join runs under each join hint the planner accepts
+for it, at batch sizes 1, 7 and 256.
 """
 
 import random
@@ -47,10 +49,18 @@ _between = st.builds(
     st.integers(0, 25),
     st.integers(10, 50),
 )
+def _sql_literal(value) -> str:
+    return "NULL" if value is None else str(value)
+
+
 _in_list = st.builds(
-    lambda col, items: f"({col} IN ({', '.join(map(str, items))}))",
+    lambda col, negated, items: (
+        f"({col} {'NOT ' if negated else ''}IN "
+        f"({', '.join(map(_sql_literal, items))}))"
+    ),
     st.sampled_from(["a", "b"]),
-    st.lists(st.integers(-5, 50), min_size=1, max_size=4),
+    st.booleans(),
+    st.lists(st.one_of(st.none(), st.integers(-5, 50)), min_size=1, max_size=4),
 )
 _is_null = st.builds(
     lambda col, negated: f"({col} IS {'NOT ' if negated else ''}NULL)",
@@ -119,12 +129,81 @@ def _approx_equal(ours, theirs):
 # ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
+#: two rows whose ``a`` is 1 and 2: ``a NOT IN (1, NULL)`` is FALSE for
+#: the first and NULL (not TRUE) for the second
+_IN_ROWS = [(1, None, None), (2, None, None)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=_rows, predicate=_predicate)
+@example(_IN_ROWS, "(a NOT IN (1, NULL))")
 def test_filtered_select_matches_sqlite(rows, predicate):
     sql = f"SELECT id, a, b, s FROM t WHERE {predicate}"
     ours, theirs = _run_both(rows, sql)
     _approx_equal(ours, theirs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=_rows, in_list=_in_list)
+@example(_IN_ROWS, "(a IN (1, NULL))")
+def test_in_list_value_matches_sqlite(rows, in_list):
+    """``[NOT] IN`` as a value: TRUE, FALSE or NULL, row by row."""
+    sql = f"SELECT id, {in_list} FROM t"
+    ours, theirs = _run_both(rows, sql)
+    _approx_equal(ours, theirs)
+
+
+#: equi-join shapes over ``l(x PK, k)`` and ``r(y PK, k)``, both ``k``
+#: nullable; ``index_nl`` applies where the inner side's key is its PK
+_JOIN_SHAPES = (
+    ("SELECT l.x, r.y FROM l JOIN r ON l.k = r.k", False),
+    ("SELECT l.x, r.y FROM l JOIN r ON l.k = r.k AND l.x < r.y", False),
+    ("SELECT l.x, r.y FROM l LEFT JOIN r ON l.k = r.k", False),
+    ("SELECT l.x, r.y FROM l LEFT JOIN r ON l.k = r.k AND r.y > 15", False),
+    ("SELECT l.x, r.y FROM l JOIN r ON l.k = r.y", True),
+    ("SELECT l.x, r.y FROM l JOIN r ON l.k = r.y WHERE r.k IS NOT NULL", True),
+)
+_JOIN_HINTS = (None, "hash", "merge", "nested_loop")
+
+_join_rows = st.lists(
+    st.tuples(st.integers(0, 30), st.one_of(st.none(), st.integers(0, 4))),
+    max_size=12,
+    unique_by=lambda row: row[0],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(left=_join_rows, right=_join_rows, shape=st.sampled_from(_JOIN_SHAPES))
+# NULL keys never match: not under hash or nested loops, inner or LEFT
+@example([(1, 1), (2, None)], [(10, 1), (20, None)], _JOIN_SHAPES[0])
+@example([(1, 1), (2, None)], [(10, 1), (20, None)], _JOIN_SHAPES[2])
+def test_join_matches_sqlite(left, right, shape):
+    """Every legal join hint, at every batch size, agrees with SQLite."""
+    from repro.storage.config import StorageConfig
+
+    sql, inner_pk = shape
+    hints = _JOIN_HINTS + (("index_nl",) if inner_pk else ())
+    connection = sqlite3.connect(":memory:")
+    for ddl in ("CREATE TABLE l (x INTEGER PRIMARY KEY, k INTEGER)",
+                "CREATE TABLE r (y INTEGER PRIMARY KEY, k INTEGER)"):
+        connection.execute(ddl)
+    connection.executemany("INSERT INTO l VALUES (?, ?)", left)
+    connection.executemany("INSERT INTO r VALUES (?, ?)", right)
+    theirs = [tuple(row) for row in connection.execute(sql).fetchall()]
+    for batch_size in (1, 7, 256):
+        storage = StorageEngine(StorageConfig(batch_size=batch_size))
+        engine = QueryEngine(Catalog(), storage)
+        engine.execute("CREATE TABLE l (x INTEGER PRIMARY KEY, k INTEGER)")
+        engine.execute("CREATE TABLE r (y INTEGER PRIMARY KEY, k INTEGER)")
+        for row in left:
+            engine.catalog.lookup("l").store.insert(row)
+        for row in right:
+            engine.catalog.lookup("r").store.insert(row)
+        for hint in hints:
+            ours = engine.execute(sql, join_hint=hint).rows
+            tag = f"batch_size={batch_size} hint={hint}"
+            assert _canon(ours) == _canon(theirs), tag
+        storage.verify_now()
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,7 +331,13 @@ def test_parameterized_select_matches_sqlite(rows, shape, col, op, values):
 # sweep for opt-in deep runs (``pytest -m slow``).
 # ----------------------------------------------------------------------
 class QueryFuzzer:
-    """Composes random two-table queries in the shared dialect subset."""
+    """Composes random two-table queries in the shared dialect subset.
+
+    Each shape returns ``(sql, exact_order, hints)``: the join hints to
+    run it under (``(None,)`` for single-table queries). Joins run under
+    every hint the planner accepts for them; ``index_nl`` only applies
+    to an equality on the inner table's primary key.
+    """
 
     def __init__(self, rng: random.Random):
         self.rng = rng
@@ -272,51 +357,58 @@ class QueryFuzzer:
             return f"({col} IS {'NOT ' if self.rng.random() < 0.5 else ''}NULL)"
         if roll < 0.6:
             items = ", ".join(
-                str(self.literal()) for _ in range(self.rng.randrange(1, 5))
+                "NULL" if self.rng.random() < 0.2 else str(self.literal())
+                for _ in range(self.rng.randrange(1, 5))
             )
-            return f"({col} IN ({items}))"
+            negated = "NOT " if self.rng.random() < 0.3 else ""
+            return f"({col} {negated}IN ({items}))"
         op = self.rng.choice(["=", "!=", "<", "<=", ">", ">="])
         return f"({col} {op} {self.literal()})"
 
     def single_table(self):
         where = self.predicate(["a", "b", "id"])
-        return f"SELECT id, a, b FROM t WHERE {where}", False
+        return f"SELECT id, a, b FROM t WHERE {where}", False, (None,)
 
     def inner_join(self):
-        key = self.rng.choice(["a", "id"])
+        # b is nullable on both sides; id is the inner table's PK
+        key = self.rng.choice(["a", "id", "b"])
         where = self.predicate(["t.a", "t.b", "u.c", "u.id"])
         sql = (
             "SELECT t.id, u.id, t.a, u.c FROM t "
-            f"JOIN u ON t.{key} = u.{'a' if key == 'a' else 'id'} "
+            f"JOIN u ON t.{key} = u.{key} "
             f"WHERE {where}"
         )
-        return sql, False
+        hints = _JOIN_HINTS + (("index_nl",) if key == "id" else ())
+        return sql, False, hints
 
     def left_join(self):
+        key = self.rng.choice(["a", "b"])
         where = self.predicate(["t.a", "t.b"])
         sql = (
-            "SELECT t.id, u.c FROM t LEFT JOIN u ON t.a = u.a "
+            f"SELECT t.id, u.c FROM t LEFT JOIN u ON t.{key} = u.{key} "
             f"WHERE {where}"
         )
-        return sql, False
+        return sql, False, _JOIN_HINTS
 
     def join_aggregate(self):
+        key = self.rng.choice(["a", "b"])
         sql = (
             "SELECT t.a, COUNT(*), COUNT(u.c), SUM(u.c), MIN(u.c), MAX(t.b) "
-            "FROM t LEFT JOIN u ON t.a = u.a GROUP BY t.a"
+            f"FROM t LEFT JOIN u ON t.{key} = u.{key} GROUP BY t.a"
         )
-        return sql, False
+        return sql, False, _JOIN_HINTS
 
     def order_limit(self):
+        key = self.rng.choice(["a", "b"])
         direction = self.rng.choice(["ASC", "DESC"])
         limit = self.rng.randrange(0, 12)
         where = self.predicate(["t.a", "t.b", "u.c"])
         sql = (
-            "SELECT t.id, u.id FROM t JOIN u ON t.a = u.a "
+            f"SELECT t.id, u.id FROM t JOIN u ON t.{key} = u.{key} "
             f"WHERE {where} "
             f"ORDER BY t.id {direction}, u.id {direction} LIMIT {limit}"
         )
-        return sql, True  # unique total order: compare exactly
+        return sql, True, _JOIN_HINTS  # unique total order: compare exactly
 
     def aggregate_filter(self):
         where = self.predicate(["a", "b"])
@@ -324,7 +416,7 @@ class QueryFuzzer:
             "SELECT COUNT(*), COUNT(b), SUM(b), MIN(a), MAX(b), AVG(a) "
             f"FROM t WHERE {where}"
         )
-        return sql, False
+        return sql, False, (None,)
 
     def next_query(self):
         shape = self.rng.choice(
@@ -340,9 +432,11 @@ class QueryFuzzer:
         return shape()
 
 
-def _fuzz_setup(rng, storage_config=None):
-    storage = StorageEngine(storage_config)
-    engine = QueryEngine(Catalog(), storage)
+def _fuzz_setup(rng, storage_configs):
+    """One engine per config over the same random rows, plus SQLite."""
+    engines = [
+        QueryEngine(Catalog(), StorageEngine(config)) for config in storage_configs
+    ]
     connection = sqlite3.connect(":memory:")
     ddl_t = (
         "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER NOT NULL, "
@@ -350,58 +444,77 @@ def _fuzz_setup(rng, storage_config=None):
     )
     ddl_u = (
         "CREATE TABLE u (id INTEGER PRIMARY KEY, a INTEGER NOT NULL, "
-        "c INTEGER{chain})"
+        "b INTEGER, c INTEGER{chain})"
     )
-    engine.execute(ddl_t.format(chain=", CHAIN (a)"))
-    engine.execute(ddl_u.format(chain=", CHAIN (a)"))
+    for engine in engines:
+        engine.execute(ddl_t.format(chain=", CHAIN (a)"))
+        engine.execute(ddl_u.format(chain=", CHAIN (a)"))
     connection.execute(ddl_t.format(chain=""))
     connection.execute(ddl_u.format(chain=""))
-    for i in range(rng.randrange(5, 30)):
-        row = (
+    t_rows = [
+        (
             i,
             rng.randrange(0, 8),
             None if rng.random() < 0.3 else rng.randrange(-5, 6),
             None if rng.random() < 0.3 else rng.choice(["x", "y", "zz"]),
         )
-        engine.catalog.lookup("t").store.insert(row)
-        connection.execute("INSERT INTO t VALUES (?, ?, ?, ?)", row)
-    for i in range(rng.randrange(0, 20)):
-        row = (
+        for i in range(rng.randrange(5, 30))
+    ]
+    u_rows = [
+        (
             i,
             rng.randrange(0, 8),
+            None if rng.random() < 0.3 else rng.randrange(-5, 6),
             None if rng.random() < 0.3 else rng.randrange(0, 50),
         )
-        engine.catalog.lookup("u").store.insert(row)
-        connection.execute("INSERT INTO u VALUES (?, ?, ?)", row)
-    return storage, engine, connection
+        for i in range(rng.randrange(0, 20))
+    ]
+    for table, rows in (("t", t_rows), ("u", u_rows)):
+        for engine in engines:
+            store = engine.catalog.lookup(table).store
+            for row in rows:
+                store.insert(row)
+        connection.executemany(f"INSERT INTO {table} VALUES (?, ?, ?, ?)", rows)
+    return engines, connection
 
 
-def _fuzz_corpus(seed, queries, reseed_data_every=25, storage_config=None):
+def _fuzz_corpus(seed, queries, reseed_data_every=25, storage_configs=None):
     """Run ``queries`` random queries; divergence fails with a repro tag.
 
-    Every query runs twice: the second execution is served from the
-    plan cache and must return the same rows, so the whole corpus
-    doubles as a cache-coherence sweep.
+    Every query runs on one engine per storage config (default: batch
+    sizes 1, 7 and 256), under each of its join hints, twice: the
+    second execution is served from the plan cache and must return the
+    same rows, so the whole corpus doubles as a cache-coherence sweep.
     """
+    from repro.storage.config import StorageConfig
+
+    if storage_configs is None:
+        storage_configs = [StorageConfig(batch_size=n) for n in (1, 7, 256)]
     rng = random.Random(seed)
     fuzzer = QueryFuzzer(rng)
-    storage = engine = connection = None
+    engines = connection = None
     for index in range(queries):
         if index % reseed_data_every == 0:
-            storage, engine, connection = _fuzz_setup(rng, storage_config)
-        sql, exact_order = fuzzer.next_query()
-        tag = f"seed={seed} index={index} sql={sql!r}"
-        ours = engine.execute(sql).rows
-        cached = engine.execute(sql).rows
+            engines, connection = _fuzz_setup(rng, storage_configs)
+        sql, exact_order, hints = fuzzer.next_query()
         theirs = [tuple(r) for r in connection.execute(sql).fetchall()]
-        if exact_order:
-            assert list(ours) == theirs, tag
-            assert list(cached) == theirs, tag
-        else:
-            assert len(ours) == len(theirs), tag
-            assert _canon(ours) == _canon(theirs), tag
-            assert _canon(cached) == _canon(theirs), tag
-    storage.verify_now()
+        for engine in engines:
+            for hint in hints:
+                tag = (
+                    f"seed={seed} index={index} hint={hint} "
+                    f"batch_size={engine.storage.config.batch_size} sql={sql!r}"
+                )
+                ours = engine.execute(sql, join_hint=hint).rows
+                cached = engine.execute(sql, join_hint=hint).rows
+                if exact_order:
+                    assert list(ours) == theirs, tag
+                    assert list(cached) == theirs, tag
+                else:
+                    assert len(ours) == len(theirs), tag
+                    assert _canon(ours) == _canon(theirs), tag
+                    assert _canon(cached) == _canon(theirs), tag
+    for engine in engines:
+        engine.storage.verify_now()
 
 
 @pytest.mark.parametrize("seed", [11, 29, 47])
@@ -423,7 +536,7 @@ def test_fuzzer_batch_and_cache_matrix(batch_size, plan_cache_size):
     config = StorageConfig(
         batch_size=batch_size, plan_cache_size=plan_cache_size
     )
-    _fuzz_corpus(5, queries=30, storage_config=config)
+    _fuzz_corpus(5, queries=30, storage_configs=[config])
 
 
 @pytest.mark.slow
